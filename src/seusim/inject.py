@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,10 @@ class FaultLocation:
     bit: int  # 0 = LSB
 
 
-@dataclass(frozen=True)
-class FlipClassification:
+class FlipClassification(NamedTuple):
+    """Immutable; a NamedTuple because one is built per flip, and a frozen
+    dataclass costs several times as much to construct."""
+
     field: str  # sign | exponent | mantissa (f32); sign | magnitude (int)
     direction: str  # zero_to_one | one_to_zero
     pre_value: float
@@ -45,8 +48,20 @@ class FlipClassification:
     post_kind: str  # finite | infinite | nan
 
 
+_F32 = struct.Struct("<f")
+_U32 = struct.Struct("<I")
+_F32_DTYPE = np.dtype(np.float32)  # frombuffer takes a dtype instance faster than a type
+
+
 def _bits_to_f32(b: int) -> float:
-    return struct.unpack("<f", struct.pack("<I", b))[0]
+    return _F32.unpack(_U32.pack(b))[0]
+
+
+def _f32_bits(value) -> int:
+    if type(value) is np.float32 and value == value:
+        # float32 -> Python float -> float32 is exact for every non-NaN value
+        return _U32.unpack(_F32.pack(value))[0]
+    return int(np.asarray(value, dtype=np.float32).reshape(()).view(np.uint32))
 
 
 def _classify_f32(pre_bits: int, post_bits: int, bit: int) -> FlipClassification:
@@ -84,12 +99,11 @@ def flip_bit(value, dtype: str, bit: int):
     if not 0 <= bit < width:
         raise ValueError(f"bit {bit} out of range for {dtype}")
     if dtype == "f32":
-        # stay in float32 representation: converting through Python floats
-        # would quiet signaling NaNs and break bit-exactness
-        pre = int(np.asarray(value, dtype=np.float32).reshape(()).view(np.uint32))
+        # NaNs stay in float32 representation: converting them through
+        # Python floats would quiet signaling NaNs and break bit-exactness
+        pre = _f32_bits(value)
         post = pre ^ (1 << bit)
-        new = np.frombuffer(struct.pack("<I", post), dtype=np.float32)[0]
-        return new, _classify_f32(pre, post, bit)
+        return np.frombuffer(_U32.pack(post), _F32_DTYPE)[0], _classify_f32(pre, post, bit)
     mask = (1 << width) - 1
     pre = int(value) & mask
     post = pre ^ (1 << bit)

@@ -126,7 +126,8 @@ def out_channels(graph: ModelGraph, node: LayerNode) -> int:
 
 
 def validate_model(graph: ModelGraph) -> None:
-    """Structural checks: dense ids, topological inputs, consistent shapes."""
+    """Structural checks: dense ids, topological inputs, consistent shapes,
+    and BN variances with var + eps > 0."""
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
@@ -151,6 +152,8 @@ def validate_model(graph: ModelGraph) -> None:
             for k in (ParamKind.BNGamma, ParamKind.BNBeta, ParamKind.BNMean, ParamKind.BNVar):
                 if n.params[k].shape != (in_ch,):
                     raise ValueError(f"batch_norm {i} {k.value} inconsistent with {in_ch} channels")
+            if np.any(n.params[ParamKind.BNVar].data + np.float32(n.eps) <= 0):
+                raise ValueError(f"batch_norm {i} var + eps must be positive")
     last = graph.nodes[-1]
     if last.kind != "conv" or out_channels(graph, last) != graph.n_classes:
         raise ValueError("output node must be a conv producing n_classes channels")

@@ -5,6 +5,16 @@ non-finite values (NaN/Inf produced by corrupted parameters must reach
 the output), and an int8 path with int32 accumulation and saturating
 requantization.  All kernels are pure functions and avoid BLAS so that
 results are bit-for-bit reproducible regardless of thread count.
+
+Both conv paths share one blocked im2col kernel: the input windows of a
+block of output rows are unfolded into a contiguous [c*kh*kw, positions]
+matrix of at most about 2**16 elements (512 KB of float64 scratch per
+call, so per worker thread), which the two-operand
+``np.einsum("ok,kp->op", ...)`` reduces.  Called without ``optimize=``,
+einsum runs numpy's own C loops: no BLAS and no threads.  Every output is
+accumulated from 0 over (c, i, j) in row-major order, in float64 on the
+float path and int32 on the integer path, and the bias is added last; the
+float path then rounds once to float32.
 """
 
 from __future__ import annotations
@@ -150,20 +160,50 @@ def requantize_codes(codes: np.ndarray, src: QuantParams, dst: QuantParams) -> n
 # kernels
 # ---------------------------------------------------------------------------
 
-def _conv_windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    n, c, h, w = x.shape
+# im2col scratch per block, in elements: 2**16 float64 values is 512 KB
+_IM2COL_BLOCK = 1 << 16
+
+
+def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int, acc_dtype):
+    """Convolution sums of NCHW `x` with `w`, plus `b`, in `acc_dtype`.
+
+    Each output is 0 + sum of x*w over (c, i, j) in row-major order, then
+    + b.  Zero padding is applied to `x` as given.
+    """
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ph, pw = x.shape[2], x.shape[3]
     if ph < kh or pw < kw:
-        raise ValueError(f"input {h}x{w} too small for {kh}x{kw} kernel with padding {padding}")
+        raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
+    k = c * kh * kw
     s0, s1, s2, s3 = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (n, c, oh, ow, kh, kw), (s0, s1, s2 * stride, s3 * stride, s2, s3)
+        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
     )
-    return win, oh, ow
+    w2d = w.reshape(oc, k).astype(acc_dtype)
+    out = np.empty((n, oc, oh * ow), dtype=acc_dtype)
+    rows = max(1, _IM2COL_BLOCK // (k * ow))
+    scratch = np.empty(k * min(rows, oh) * ow, dtype=acc_dtype)
+    for ni in range(n):
+        for r0 in range(0, oh, rows):
+            r1 = min(r0 + rows, oh)
+            p = (r1 - r0) * ow
+            cols = scratch[: k * p].reshape(k, p)
+            np.copyto(cols.reshape(c, kh, kw, r1 - r0, ow), win[ni, :, :, :, r0:r1])
+            dst = out[ni, :, r0 * ow : r1 * ow]
+            if p > 1:
+                # einsum adds the k terms of each output in order into a zeroed `dst`
+                np.einsum("ok,kp->op", w2d, cols, out=dst)
+            else:
+                # with one column einsum would reduce k in a multi-accumulator
+                # SIMD dot, which reorders the sum; two columns keep it in order
+                dst[...] = np.einsum("ok,kp->op", w2d, np.repeat(cols, 2, axis=1))[:, :1]
+    out += b[None, :, None]
+    return out.reshape(n, oc, oh, ow)
 
 
 def conv2d(
@@ -176,9 +216,10 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over NCHW input.
 
-    Float path: f32 in, f32 out.  Integer path: i8 input/weights with i32
-    bias; accumulates in int32, then requantizes to `out_quant` with
-    round-to-nearest-even and saturation to [-128, 127].
+    Float path: f32 in, f32 out, accumulated in f64 and rounded once.
+    Integer path: i8 input/weights with i32 bias; accumulates in int32,
+    then requantizes to `out_quant` with round-to-nearest-even and
+    saturation to [-128, 127].
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-D NCHW, got {x.shape}")
@@ -193,11 +234,9 @@ def conv2d(
     if x.dtype == "f32":
         if weight.dtype != "f32" or bias.dtype != "f32":
             raise ValueError("f32 conv requires f32 weight and bias")
-        win, _, _ = _conv_windows(x.data, kh, kw, stride, padding)
         with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
-            # accumulate in f64 so results are exact to one final f32 rounding
-            out = np.einsum("nchwij,ocij->nohw", win, weight.data, dtype=np.float64)
-            out += bias.data[None, :, None, None]
+            # products of f32 values are exact in f64; only the ordered f64 sums and the cast round
+            out = _conv_accumulate(x.data, weight.data, bias.data, stride, padding, np.float64)
             out = out.astype(np.float32)  # f64 values beyond f32 range become Inf here
         return Tensor(out, "f32")
 
@@ -207,9 +246,9 @@ def conv2d(
         if out_quant is None:
             raise ValueError("integer conv requires out_quant")
         # subtracting the zero point first makes zero padding represent real 0
-        win, _, _ = _conv_windows(x.data.astype(np.int32) - x.quant.zero_point, kh, kw, stride, padding)
-        acc = np.einsum("nchwij,ocij->nohw", win, weight.data.astype(np.int32))
-        acc += bias.data[None, :, None, None]
+        acc = _conv_accumulate(
+            x.data.astype(np.int32) - x.quant.zero_point, weight.data, bias.data, stride, padding, np.int32
+        )
         m = (x.quant.scale * weight.quant.scale) / out_quant.scale
         q = np.round(acc.astype(np.float64) * m) + out_quant.zero_point
         out = np.clip(q, QMIN, QMAX).astype(np.int8)
@@ -231,11 +270,10 @@ def batch_norm(
     for name, t in (("gamma", gamma), ("beta", beta), ("mean", mean), ("var", var)):
         if t.shape != (c,):
             raise ValueError(f"{name} length {t.shape} does not match {c} channels")
-    denom_sq = var.data + np.float32(eps)
-    if np.any(denom_sq <= 0):
-        raise ValueError("var + eps must be positive")
+    # validate_model rejects var + eps <= 0 in a stored model; a fault that
+    # makes it negative must yield NaN here, not an exception
     with np.errstate(all="ignore"):
-        scale = gamma.data / np.sqrt(denom_sq)
+        scale = gamma.data / np.sqrt(var.data + np.float32(eps))
         out = (x.data - mean.data[None, :, None, None]) * scale[None, :, None, None]
         out += beta.data[None, :, None, None]
     return Tensor(out, "f32")
@@ -338,17 +376,14 @@ def argmax_classes(logits: Tensor) -> np.ndarray:
         # integer codes share one QuantParams per tensor, so code order is value order
         return np.argmax(v, axis=0).astype(np.int32)
 
+    key = np.fmax(v, np.float32(-np.inf))  # NaN ranks as -inf
+    top = key.max(axis=0)
     best = np.zeros(v.shape[1:], dtype=np.int32)
-    first = v[0]
-    best_key = np.where(np.isnan(first), -np.inf, first)
-    best_ok = ~np.isnan(first)
-    for c in range(1, n_classes):
-        vc = v[c]
-        ok = ~np.isnan(vc)
-        key = np.where(ok, vc, -np.inf)
-        # strictly better, or equal key where a real value displaces a NaN
-        take = (key > best_key) | ((key == best_key) & ok & ~best_ok)
-        best = np.where(take, c, best)
-        best_key = np.where(take, key, best_key)
-        best_ok = np.where(take, ok, best_ok)
+    for c in range(n_classes - 1, -1, -1):  # descending: the lowest tied class is written last
+        np.copyto(best, c, where=key[c] == top)
+    # where the maximum is -inf, a NaN keyed -inf may precede a real -inf:
+    # the lowest non-NaN class wins there, class 0 if every class is NaN
+    low = top == -np.inf
+    if low.any():
+        best[low] = np.argmax(~np.isnan(v[:, low]), axis=0)
     return best

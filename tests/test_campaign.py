@@ -220,6 +220,20 @@ class TestRunCampaign:
         assert all(r.post_kind == "finite" for r in records)  # no NaN/Inf in integer graphs
         assert all(0.0 <= r.error_rate <= 1.0 for r in records)
 
+    def test_bn_variance_sign_flips_are_recorded(self):
+        # a negative variance makes its channel NaN; the campaign records it
+        g = build_unet(depth=2, base_channels=8, n_input_channels=3, n_classes=6, seed=0)
+        pristine = g.copy()
+        x = synthetic_input(g, 16, 16, seed=1)
+        cfg = CampaignConfig(included_kinds=frozenset({ParamKind.BNVar}), bits=(31,), cap=64,
+                             seed=5, inputs=(x,))
+        records, _ = run_campaign(g, cfg)
+        assert len(records) == sum(e.injections for e in plan(g, cfg).entries) > 0
+        assert all(r.location.bit == 31 and r.direction == "zero_to_one" for r in records)
+        assert all(r.post_kind == "finite" for r in records)  # -var is still a number
+        assert any(r.error_rate > 0 for r in records)
+        assert g.bit_equal(pristine)
+
     def test_probe_cross_check_against_analytical(self):
         freqs = [0.0, 0.4491, 0.0441, 0.2695, 0.0747, 0.1627]
         biases = [-0.85, 0.32, -0.03, 0.04, -0.17, 0.11]

@@ -81,6 +81,22 @@ class TestFlipBit:
         # independent raw-bits oracle for the single flip
         assert f32_bits(once) == f32_bits(np.float32(v)) ^ (1 << bit)
 
+    @given(
+        st.integers(0, 1),
+        st.integers(1, (1 << 22) - 1),
+        st.integers(0, 31),
+    )
+    def test_signalling_nan_payload_bit_exact(self, sign, payload, bit):
+        # quiet bit 22 clear: any trip through a Python float would set it
+        snan = (sign << 31) | 0x7F800000 | payload
+        once, cls = flip_bit(bits_f32(snan), "f32", bit)
+        assert f32_bits(once) == snan ^ (1 << bit)
+        assert f32_bits(flip_bit(once, "f32", bit)[0]) == snan
+        # and a flip that creates a signalling NaN from a finite value
+        finite = snan & ~(1 << 30)
+        made, cls = flip_bit(bits_f32(finite), "f32", 30)
+        assert f32_bits(made) == snan and cls.post_kind == "nan"
+
     @given(st.integers(-128, 127), st.integers(0, 7))
     def test_i8_involution(self, v, bit):
         once, _ = flip_bit(v, "i8", bit)

@@ -220,6 +220,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_classes"):
             validate_model(g)
 
+    def test_nonpositive_bn_variance_rejected(self):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        bn = next(n for n in g.nodes if n.kind == "batch_norm")
+        bn.params[ParamKind.BNVar].data[1] = -1.0
+        with pytest.raises(ValueError, match="positive"):
+            validate_model(g)
+        with pytest.raises(ValueError, match="positive"):
+            deserialize_model(serialize_model(g))
+
     def test_synthetic_input_respects_pool_depth(self):
         g = build_unet(depth=2, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         with pytest.raises(ValueError, match="multiples"):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seusim.tensor import (
+    _IM2COL_BLOCK,
     QuantParams,
     Tensor,
     activation,
@@ -49,6 +51,47 @@ def conv2d_reference(x, w, b, stride, padding):
     return out
 
 
+def conv2d_f32_oracle(x, w, b, stride, padding):
+    """The pinned float summation order, vectorised over output pixels only.
+
+    Each output starts from a float64 0.0, adds x*w over c, then i, then j,
+    then the bias, and is rounded once to float32.
+    """
+    n, cin, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    acc = np.zeros((n, oc, oh, ow))
+    with np.errstate(all="ignore"):
+        for o in range(oc):
+            for c in range(cin):
+                for u in range(kh):
+                    for v in range(kw):
+                        win = xp[:, c, u : u + stride * (oh - 1) + 1 : stride, v : v + stride * (ow - 1) + 1 : stride]
+                        acc[:, o] += win * float(w[o, c, u, v])
+            acc[:, o] += float(b[o])
+        return acc.astype(np.float32)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+# output spans several im2col blocks: c*kh*kw * oh*ow = 144 * 22 * 22 > _IM2COL_BLOCK
+MULTI_BLOCK = dict(x_shape=(1, 16, 22, 22), w_shape=(2, 16, 3, 3), stride=1, padding=1)
+
+# f32 values including ones whose sums overflow float32 and the infinities;
+# NaN inputs are left out because NaN payloads depend on operand order
+F32_VALUES = st.one_of(
+    st.floats(-4, 4, width=32),
+    st.floats(width=32, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 3e38, -3e38]),
+)
+
+
 class TestConv2d:
     def test_scalar_case(self):
         out = conv2d(t32([[[[2.0]]]]), t32([[[[3.0]]]]), t32([1.0]))
@@ -70,6 +113,60 @@ class TestConv2d:
         ref = conv2d_reference(x, w, b, stride, padding)
         np.testing.assert_allclose(out.data, ref, rtol=1e-6, atol=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+        st.sampled_from([1, 3]), st.sampled_from([1, 2]), st.sampled_from([0, 1]), st.data(),
+    )
+    def test_bit_exact_against_summation_order(self, cin, cout, h, w, k, stride, padding, data):
+        if h + 2 * padding < k or w + 2 * padding < k:
+            return
+        x = data.draw(arrays(np.float32, (1, cin, h, w), elements=F32_VALUES))
+        wt = data.draw(arrays(np.float32, (cout, cin, k, k), elements=F32_VALUES))
+        b = data.draw(arrays(np.float32, (cout,), elements=F32_VALUES))
+        out = conv2d(t32(x), t32(wt), t32(b), stride=stride, padding=padding)
+        assert_same_bits(out.data, conv2d_f32_oracle(x, wt, b, stride, padding))
+
+    def test_bit_exact_across_im2col_blocks(self):
+        rng = np.random.default_rng(17)
+        c = MULTI_BLOCK
+        x = (rng.normal(size=c["x_shape"]) * 10.0 ** rng.integers(-6, 7, c["x_shape"])).astype(np.float32)
+        w = (rng.normal(size=c["w_shape"]) * 10.0 ** rng.integers(-6, 7, c["w_shape"])).astype(np.float32)
+        b = rng.normal(size=c["w_shape"][0]).astype(np.float32)
+        out = conv2d(t32(x), t32(w), t32(b), stride=c["stride"], padding=c["padding"])
+        _, cin, kh, kw = w.shape
+        assert cin * kh * kw * out.shape[2] * out.shape[3] > _IM2COL_BLOCK
+        assert_same_bits(out.data, conv2d_f32_oracle(x, w, b, c["stride"], c["padding"]))
+
+    @pytest.mark.parametrize("values", [[1e20, 1.0, -1e20], [1.0, 1e20, -1e20]], ids=["big_first", "one_first"])
+    @pytest.mark.parametrize(
+        "kernel,positions",
+        [
+            ((3, 1, 1), (0, 1, 2)),  # across c
+            ((1, 3, 1), (0, 1, 2)),  # across i
+            ((1, 1, 3), (0, 1, 2)),  # across j
+            ((2, 2, 2), (0, 3, 4)),  # c0i0j0, c0i1j1, c1i0j0: only row-major puts them in this order
+            ((16, 1, 1), (0, 1, 8)),  # long reduction: no lane-split partial sums
+        ],
+        ids=["c", "i", "j", "row_major", "long"],
+    )
+    def test_cancellation_probe_pins_order(self, values, kernel, positions):
+        # in f64, 1e20 + 1 == 1e20: summed in row-major order the probe gives 0,
+        # any order that pairs 1e20 with -1e20 first gives 1
+        w = np.zeros(kernel, dtype=np.float32)
+        w.reshape(-1)[list(positions)] = values
+        x = np.ones((1, kernel[0], kernel[1], kernel[2]), dtype=np.float32)
+        out = conv2d(t32(x), t32(w[None]), t32([0.0]))
+        assert out.shape == (1, 1, 1, 1)
+        assert_same_bits(out.data, np.zeros((1, 1, 1, 1), dtype=np.float32))
+
+    def test_bias_added_last(self):
+        # (1e20 + 1) - 1e20 == 0 with the bias last; bias first would give 1
+        x = np.ones((1, 2, 2, 2), dtype=np.float32)
+        w = np.array([1e20, 1.0], dtype=np.float32).reshape(1, 2, 1, 1)
+        out = conv2d(t32(x), t32(w), t32([-1e20]))
+        assert_same_bits(out.data, np.zeros((1, 1, 2, 2), dtype=np.float32))
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channel"):
             conv2d(t32(np.zeros((1, 2, 4, 4))), t32(np.zeros((3, 5, 1, 1))), t32(np.zeros(3)))
@@ -87,17 +184,18 @@ class TestConv2d:
         xq = QuantParams(0.05, 3)
         wq = QuantParams(0.02, 0)
         oq = QuantParams(0.1, -5)
-        x = Tensor(rng.integers(-128, 128, (1, 2, 4, 4)).astype(np.int8), "i8", xq)
-        w = Tensor(rng.integers(-127, 128, (3, 2, 3, 3)).astype(np.int8), "i8", wq)
-        b = Tensor(rng.integers(-500, 500, 3).astype(np.int32), "i32", QuantParams(xq.scale * wq.scale, 0))
-        out = conv2d(x, w, b, padding=1, out_quant=oq)
-        # exact-integer loop accumulation, then the documented requantization
-        acc = conv2d_reference(
-            x.data.astype(np.int64) - xq.zero_point, w.data.astype(np.int64),
-            b.data.astype(np.int64), 1, 1,
-        )
-        q = np.round(acc * (xq.scale * wq.scale / oq.scale)) + oq.zero_point
-        np.testing.assert_array_equal(out.data, np.clip(q, -128, 127).astype(np.int8))
+        for x_shape, w_shape in [((1, 2, 4, 4), (3, 2, 3, 3)), (MULTI_BLOCK["x_shape"], MULTI_BLOCK["w_shape"])]:
+            x = Tensor(rng.integers(-128, 128, x_shape).astype(np.int8), "i8", xq)
+            w = Tensor(rng.integers(-127, 128, w_shape).astype(np.int8), "i8", wq)
+            b = Tensor(rng.integers(-500, 500, w_shape[0]).astype(np.int32), "i32", QuantParams(xq.scale * wq.scale, 0))
+            out = conv2d(x, w, b, padding=1, out_quant=oq)
+            # exact-integer loop accumulation, then the documented requantization
+            acc = conv2d_reference(
+                x.data.astype(np.int64) - xq.zero_point, w.data.astype(np.int64),
+                b.data.astype(np.int64), 1, 1,
+            )
+            q = np.round(acc * (xq.scale * wq.scale / oq.scale)) + oq.zero_point
+            np.testing.assert_array_equal(out.data, np.clip(q, -128, 127).astype(np.int8))
 
     def test_integer_output_saturates(self):
         xq = QuantParams(1.0, 0)
@@ -145,10 +243,13 @@ class TestBatchNorm:
                     ) + float(b[c])
         np.testing.assert_allclose(out.data, ref, rtol=1e-6, atol=1e-6)
 
-    def test_nonpositive_variance_rejected(self):
-        x = t32(np.zeros((1, 1, 2, 2)))
-        with pytest.raises(ValueError, match="positive"):
-            batch_norm(x, t32([1.0]), t32([0.0]), t32([0.0]), t32([-1.0]), eps=0.5)
+    def test_nonpositive_variance_yields_nan(self):
+        # a fault can flip a variance negative; the kernel must not mask it
+        # (validate_model rejects such a variance in a stored model)
+        x = t32(np.ones((1, 2, 2, 2)))
+        out = batch_norm(x, t32([1.0, 1.0]), t32([0.0, 0.0]), t32([0.0, 0.0]), t32([-1.0, 1.0]), eps=0.5)
+        assert np.all(np.isnan(out.data[0, 0]))
+        assert np.all(np.isfinite(out.data[0, 1]))
 
 
 class TestActivation:
@@ -286,6 +387,22 @@ class TestArgmaxClasses:
     def test_matches_scalar_oracle(self, vec):
         logits = t32(np.asarray(vec, dtype=np.float32).reshape(-1, 1, 1))
         assert argmax_classes(logits)[0, 0] == argmax_reference([float(np.float32(v)) for v in vec])
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda c: arrays(
+                np.float32, st.tuples(st.just(c), st.integers(1, 4), st.integers(1, 4)),
+                elements=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]),
+            )
+        )
+    )
+    def test_special_values_match_scalar_oracle_per_pixel(self, v):
+        got = argmax_classes(t32(v))
+        assert got.dtype == np.int32
+        for i in range(v.shape[1]):
+            for j in range(v.shape[2]):
+                assert got[i, j] == argmax_reference([float(c) for c in v[:, i, j]]), v[:, i, j]
 
     def test_int8_path(self):
         qp = QuantParams(0.5, 3)
