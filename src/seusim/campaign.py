@@ -6,9 +6,21 @@ formula
     n = N / (1 + e^2 * (N - 1) / (t^2 * p * (1 - p)))
 
 rounded up and capped.  Each injection applies one transient bit flip,
-runs inference, scores the fraction of output pixels whose predicted
-class differs from the golden reference, and reverts the flip.  Results
-aggregate into a layer x bit-position error matrix.
+scores the fraction of output pixels whose predicted class differs from
+the golden reference, and reverts the flip.  Results aggregate into a
+layer x bit-position error matrix.
+
+The golden forward pass runs once per campaign input and keeps every
+node's output (`seusim.model.golden_trace`); the worker threads share it
+read-only.  An injection recomputes only the one output channel its
+parameter feeds, splices it into a copy of that node's golden output, and
+runs the node's descendants in full (`seusim.model.faulted_classes`).
+The class map is bit-identical to a full forward pass: each channel's
+sum is independent of the other filters, and a one-filter slice reduces
+over (c, i, j) in the same order.  Since cost now falls with the faulted
+layer's depth, worker `i` of `n` takes injections `i, i + n, ...` of the
+plan rather than a contiguous run, and the records are reassembled in
+plan order, then input order.
 """
 
 from __future__ import annotations
@@ -27,6 +39,9 @@ from .model import (
     ModelGraph,
     ParamKind,
     enumerate_fault_space,
+    fault_channel,
+    faulted_classes,
+    golden_trace,
     predict_classes,
 )
 from .modelio import model_digest, tensor_digest
@@ -275,13 +290,17 @@ def aggregate(records: list[InjectionRecord]) -> ErrorMatrix:
     return ErrorMatrix(cells, rates.size, mean, std, mean_nz, n_nz)
 
 
-def _run_chunk(model: ModelGraph, chunk, goldens, inputs) -> list[InjectionRecord]:
-    records = []
+def _run_chunk(model: ModelGraph, chunk, goldens) -> list[list[InjectionRecord]]:
+    """Records of each location in `chunk`, one per input."""
+    out = []
     for loc in chunk:
         handle = apply_fault(model, loc)
-        width = model.node(loc.layer_id).params[loc.kind].bit_width
-        for input_id, x in enumerate(inputs):
-            rate = pixel_mismatch_rate(goldens[input_id], predict_classes(model, x))
+        node = model.node(loc.layer_id)
+        width = node.params[loc.kind].bit_width
+        channel = fault_channel(node, loc.kind, loc.index)
+        records = []
+        for input_id, golden in enumerate(goldens):
+            faulty = faulted_classes(model, golden, loc.layer_id, channel)
             records.append(
                 InjectionRecord(
                     location=loc,
@@ -292,11 +311,12 @@ def _run_chunk(model: ModelGraph, chunk, goldens, inputs) -> list[InjectionRecor
                     field=handle.classification.field,
                     post_kind=handle.classification.post_kind,
                     input_id=input_id,
-                    error_rate=rate,
+                    error_rate=pixel_mismatch_rate(golden.classes, faulty),
                 )
             )
         revert(handle)
-    return records
+        out.append(records)
+    return out
 
 
 def run_campaign(
@@ -312,7 +332,7 @@ def run_campaign(
         raise ValueError("campaign needs at least one input image")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    goldens = [golden_run(model, x) for x in config.inputs]
+    goldens = [golden_trace(model, x) for x in config.inputs]
     space = enumerate_fault_space(model, config.included_kinds)
     cplan = plan(model, config)
 
@@ -320,19 +340,16 @@ def run_campaign(
     for entry in cplan.entries:
         locations.extend(_sample_layer_locations(model, space, entry.layer_id, entry.injections, config))
 
-    if jobs == 1 or len(locations) <= 1:
-        records = _run_chunk(model, locations, goldens, config.inputs)
+    n = min(jobs, len(locations))
+    if n <= 1:
+        per_location = _run_chunk(model, locations, goldens)
     else:
-        n_chunks = min(jobs, len(locations))
-        step = math.ceil(len(locations) / n_chunks)
-        chunks = [locations[i : i + step] for i in range(0, len(locations), step)]
-        workers = [model.copy() for _ in chunks]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_run_chunk, workers[i], chunks[i], goldens, config.inputs)
-                for i in range(len(chunks))
-            ]
-            records = [r for f in futures for r in f.result()]
+        # interleaved, so that every worker gets a share of the costly early layers
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(_run_chunk, [model.copy() for _ in range(n)],
+                                  [locations[i::n] for i in range(n)], [goldens] * n))
+        per_location = [parts[i % n][i // n] for i in range(len(locations))]
+    records = [r for recs in per_location for r in recs]
     return records, aggregate(records)
 
 

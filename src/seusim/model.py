@@ -8,7 +8,7 @@ for bit-level fault application (see seusim.inject).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -184,45 +184,62 @@ def _prepare_input(graph: ModelGraph, x: Tensor) -> Tensor:
     return v
 
 
+def _conv(n: LayerNode, srcs: list[Tensor]) -> Tensor:
+    return conv2d(
+        srcs[0],
+        n.params[ParamKind.ConvWeight],
+        n.params[ParamKind.ConvBias],
+        stride=n.stride,
+        padding=n.padding,
+        out_quant=n.out_quant,
+    )
+
+
+def _batch_norm(n: LayerNode, srcs: list[Tensor]) -> Tensor:
+    p = n.params
+    return batch_norm(
+        srcs[0], p[ParamKind.BNGamma], p[ParamKind.BNBeta], p[ParamKind.BNMean], p[ParamKind.BNVar],
+        eps=n.eps,
+    )
+
+
+def _concat(n: LayerNode, srcs: list[Tensor]) -> Tensor:
+    out = srcs[0]
+    for extra in srcs[1:]:
+        out = concat_channels(out, extra, out_quant=n.out_quant)
+    return out
+
+
+# one entry per layer kind; the kernels are looked up in this module's
+# globals at call time, so a caller may rebind them (for tracing, say)
+_KERNELS = {
+    "conv": _conv,
+    "batch_norm": _batch_norm,
+    "activation": lambda n, srcs: activation(srcs[0], n.act, out_quant=n.out_quant),
+    "max_pool2": lambda n, srcs: max_pool2(srcs[0]),
+    "upsample2": lambda n, srcs: upsample2(srcs[0]),
+    "concat": _concat,
+}
+
+
+def _execute(nodes, v: Tensor, produced: dict[int, Tensor]) -> dict[int, Tensor]:
+    """Run `nodes` in order, reading inputs from `produced` (or `v`, the
+    prepared model input) and storing each output there."""
+    for n in nodes:
+        kernel = _KERNELS.get(n.kind)
+        if kernel is None:
+            raise ValueError(f"unknown layer kind {n.kind!r}")
+        produced[n.id] = kernel(n, [produced[i] for i in n.inputs] if n.inputs else [v])
+    return produced
+
+
 def run_model_trace(graph: ModelGraph, x: Tensor) -> dict[int, Tensor]:
     """Execute the graph and keep every node's output (for calibration)."""
-    v = _prepare_input(graph, x)
-    produced: dict[int, Tensor] = {}
-    out = v
-    for n in graph.nodes:
-        srcs = [produced[i] for i in n.inputs] if n.inputs else [v]
-        if n.kind == "conv":
-            out = conv2d(
-                srcs[0],
-                n.params[ParamKind.ConvWeight],
-                n.params[ParamKind.ConvBias],
-                stride=n.stride,
-                padding=n.padding,
-                out_quant=n.out_quant,
-            )
-        elif n.kind == "batch_norm":
-            out = batch_norm(
-                srcs[0],
-                n.params[ParamKind.BNGamma],
-                n.params[ParamKind.BNBeta],
-                n.params[ParamKind.BNMean],
-                n.params[ParamKind.BNVar],
-                eps=n.eps,
-            )
-        elif n.kind == "activation":
-            out = activation(srcs[0], n.act, out_quant=n.out_quant)
-        elif n.kind == "max_pool2":
-            out = max_pool2(srcs[0])
-        elif n.kind == "upsample2":
-            out = upsample2(srcs[0])
-        elif n.kind == "concat":
-            out = srcs[0]
-            for extra in srcs[1:]:
-                out = concat_channels(out, extra, out_quant=n.out_quant)
-        else:
-            raise ValueError(f"unknown layer kind {n.kind!r}")
-        produced[n.id] = out
-    return produced
+    return _execute(graph.nodes, _prepare_input(graph, x), {})
+
+
+def _logits(out: Tensor) -> Tensor:
+    return Tensor(out.data[0], out.dtype, out.quant)
 
 
 def run_model(graph: ModelGraph, x: Tensor) -> Tensor:
@@ -231,13 +248,126 @@ def run_model(graph: ModelGraph, x: Tensor) -> Tensor:
     Deterministic: identical model bits and input always produce identical
     output bits.
     """
-    out = run_model_trace(graph, x)[graph.nodes[-1].id]
-    return Tensor(out.data[0], out.dtype, out.quant)
+    return _logits(run_model_trace(graph, x)[graph.nodes[-1].id])
 
 
 def predict_classes(graph: ModelGraph, x: Tensor) -> np.ndarray:
     """Class map [H, W] for one image."""
     return argmax_classes(run_model(graph, x))
+
+
+# ---------------------------------------------------------------------------
+# faulted forward: recompute only what one parameter fault can reach
+# ---------------------------------------------------------------------------
+
+def _class_keys(v: np.ndarray) -> np.ndarray:
+    """argmax_classes' ranking keys: NaN ranks as -inf, int8 codes as themselves."""
+    return np.fmax(v, np.float32(-np.inf)) if v.dtype == np.float32 else v.astype(np.int32)
+
+
+@dataclass(frozen=True)
+class GoldenTrace:
+    """Fault-free activations of a model on one input, shared read-only by
+    every faulted forward of a campaign.
+
+    `top` holds, per pixel, the largest class key (`k1`), the lowest class
+    that reaches it (`c1`), and the same over the other classes (`k2`, `c2`).
+    A fault in output channel o then only has to beat the best of the other
+    classes, (k1, c1), or (k2, c2) where o is c1, instead of re-ranking
+    every class.  It is None for a one-class model.
+    """
+
+    x: Tensor  # prepared model input
+    produced: dict[int, Tensor]
+    classes: np.ndarray
+    top: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
+    """Run the fault-free graph on `x` once, keeping what faulted forwards reuse."""
+    v = _prepare_input(graph, x)
+    produced = run_model_trace(graph, v)
+    logits = _logits(produced[graph.nodes[-1].id])
+    top = None
+    if graph.n_classes > 1:
+        key = _class_keys(logits.data)
+        c1 = np.argmax(key, axis=0)  # keys hold no NaN, so the first maximum: the lowest class
+        k1 = np.take_along_axis(key, c1[None], axis=0)[0]
+        floor = -np.inf if key.dtype == np.float32 else np.iinfo(np.int32).min
+        rest = key.copy()
+        np.put_along_axis(rest, c1[None], floor, axis=0)
+        c2 = np.argmax(rest, axis=0)
+        k2 = np.take_along_axis(rest, c2[None], axis=0)[0]
+        top = (k1, c1.astype(np.int32), k2, c2.astype(np.int32))
+    return GoldenTrace(v, produced, argmax_classes(logits), top)
+
+
+def fault_channel(node: LayerNode, kind: ParamKind, index: int) -> int:
+    """The one output channel of `node` that element `index` of `kind` feeds."""
+    if kind is ParamKind.ConvWeight:
+        return index // (node.params[kind].size // node.params[kind].shape[0])
+    return index
+
+
+def _one_channel(n: LayerNode, c: int, golden: GoldenTrace) -> Tensor:
+    """Output channel `c` of node `n` on golden inputs, computed by the node's
+    own kernel on a one-filter (conv) or one-channel (batch_norm) slice."""
+    src = golden.produced[n.inputs[0]] if n.inputs else golden.x
+    if n.kind == "batch_norm":
+        src = Tensor(src.data[:, c : c + 1], src.dtype, src.quant)
+    params = {k: Tensor(t.data[c : c + 1], t.dtype, t.quant) for k, t in n.params.items()}
+    return _KERNELS[n.kind](replace(n, params=params), [src])
+
+
+def faulted_logits(graph: ModelGraph, golden: GoldenTrace, layer_id: int, channel: int) -> Tensor:
+    """Logits [n_classes, H, W] of `graph`, whose parameters differ from the
+    golden run only in output channel `channel` of node `layer_id`.
+
+    That channel is recomputed and spliced into a copy of the node's golden
+    output; the node's descendants run in full and read every other input
+    from `golden`.  Bit-identical to `run_model`: a channel's sums do not
+    depend on the other filters, and a one-filter slice reduces over
+    (c, i, j) in the same order.
+    """
+    base = golden.produced[layer_id]
+    spliced = base.data.copy()
+    spliced[:, channel] = _one_channel(graph.node(layer_id), channel, golden).data[:, 0]
+    produced = dict(golden.produced)
+    produced[layer_id] = Tensor(spliced, base.dtype, base.quant)
+    dirty = {layer_id}
+    cone = []
+    for n in graph.nodes[layer_id + 1 :]:
+        if dirty.intersection(n.inputs):
+            dirty.add(n.id)
+            cone.append(n)
+    return _logits(_execute(cone, golden.x, produced)[graph.nodes[-1].id])
+
+
+def faulted_classes(graph: ModelGraph, golden: GoldenTrace, layer_id: int, channel: int) -> np.ndarray:
+    """`argmax_classes(faulted_logits(...))`, bit for bit.
+
+    A fault in the output node changes one class channel only; it is then
+    ranked against the golden top two keys instead of every class.
+    """
+    last = graph.nodes[-1].id
+    if layer_id != last or golden.top is None:
+        return argmax_classes(faulted_logits(graph, golden, layer_id, channel))
+    new = _one_channel(graph.node(last), channel, golden).data[0, 0]
+    key = _class_keys(new)
+    k1, c1, k2, c2 = golden.top
+    was_top = c1 == channel
+    rival = np.where(was_top, k2, k1)  # best key over the other classes
+    holder = np.where(was_top, c2, c1)  # lowest class holding it
+    wins = (key > rival) | ((key == rival) & (channel < holder))
+    classes = np.where(wins, np.int32(channel), holder)
+    if new.dtype == np.float32:
+        # where every key is -inf, argmax_classes ranks NaN below -inf
+        low = np.maximum(key, rival) == -np.inf
+        if low.any():
+            logits = golden.produced[last].data[0].copy()
+            logits[channel] = new
+            classes[low] = argmax_classes(Tensor(logits, "f32"))[low]
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Campaign planning, execution, aggregation, and serialization."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,26 @@ class TestRunCampaign:
         r8, m8 = run_campaign(g, cfg, jobs=8)
         assert r1 == r4 == r8
         assert m1.cells == m4.cells == m8.cells
+
+    def test_multi_input_record_order_across_job_counts(self):
+        # 35 injections: no job count below divides it, so the interleaved
+        # chunks differ in length and records are reassembled out of order
+        g, cfg = tiny_campaign_config(cap=5)
+        x2 = synthetic_input(g, 16, 16, seed=2)
+        cfg = with_inputs(cfg, (cfg.inputs[0], x2))
+        n = plan(g, cfg).total_injections()
+        assert all(n % jobs for jobs in (2, 3, 8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers share the golden activations: switch often
+        try:
+            runs = {jobs: run_campaign(g, cfg, jobs=jobs)[0] for jobs in (1, 2, 3, 8)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[2] == runs[3] == runs[8]
+        assert len(runs[1]) == 2 * n
+        assert [r.input_id for r in runs[1]] == [0, 1] * n
+        layers = [r.location.layer_id for r in runs[1]]
+        assert layers == sorted(layers)  # plan order
 
     def test_locations_unique_and_in_space(self):
         g, cfg = tiny_campaign_config(cap=40)
