@@ -188,7 +188,7 @@ def pixel_mismatch_rate(golden: np.ndarray, faulty: np.ndarray) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_layer_locations(model, space, layer_id, n, config) -> list[FaultLocation]:
+def _sample_layer_locations(space, layer_id, n, config) -> list[FaultLocation]:
     pairs, total = _restricted_layer_space(space, layer_id, config.bits)
     rng = np.random.default_rng((config.seed, layer_id))
     locs: list[FaultLocation] = []
@@ -295,26 +295,29 @@ def _run_chunk(model: ModelGraph, chunk, goldens) -> list[list[InjectionRecord]]
     out = []
     for loc in chunk:
         handle = apply_fault(model, loc)
-        node = model.node(loc.layer_id)
-        width = node.params[loc.kind].bit_width
-        channel = fault_channel(node, loc.kind, loc.index)
-        records = []
-        for input_id, golden in enumerate(goldens):
-            faulty = faulted_classes(model, golden, loc.layer_id, channel)
-            records.append(
-                InjectionRecord(
-                    location=loc,
-                    bit_width=width,
-                    pre_bits=handle.pre_bits,
-                    post_bits=handle.post_bits,
-                    direction=handle.classification.direction,
-                    field=handle.classification.field,
-                    post_kind=handle.classification.post_kind,
-                    input_id=input_id,
-                    error_rate=pixel_mismatch_rate(golden.classes, faulty),
+        try:
+            node = model.node(loc.layer_id)
+            width = node.params[loc.kind].bit_width
+            channel = fault_channel(node, loc.kind, loc.index)
+            records = []
+            for input_id, golden in enumerate(goldens):
+                faulty = faulted_classes(model, golden, loc.layer_id, channel)
+                records.append(
+                    InjectionRecord(
+                        location=loc,
+                        bit_width=width,
+                        pre_bits=handle.pre_bits,
+                        post_bits=handle.post_bits,
+                        direction=handle.classification.direction,
+                        field=handle.classification.field,
+                        post_kind=handle.classification.post_kind,
+                        input_id=input_id,
+                        error_rate=pixel_mismatch_rate(golden.classes, faulty),
+                    )
                 )
-            )
-        revert(handle)
+        finally:
+            # with jobs=1 this is the caller's model: never leave it faulted
+            revert(handle)
         out.append(records)
     return out
 
@@ -338,7 +341,7 @@ def run_campaign(
 
     locations: list[FaultLocation] = []
     for entry in cplan.entries:
-        locations.extend(_sample_layer_locations(model, space, entry.layer_id, entry.injections, config))
+        locations.extend(_sample_layer_locations(space, entry.layer_id, entry.injections, config))
 
     n = min(jobs, len(locations))
     if n <= 1:

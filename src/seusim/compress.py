@@ -2,12 +2,15 @@
 folding, and post-training 8-bit quantization.
 
 All transforms are pure model -> model functions.  The supported pipeline
-order is prune -> fold -> quantize.
+order is prune -> fold -> quantize; pruning and folding accept f32 models
+only.  Each transform derives its nodes and graph from the source with
+`dataclasses.replace`, so a derived node keeps every field its transform
+does not name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,11 +72,13 @@ def _filters_to_drop(ratio: float, n_filters: int) -> int:
 def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
     """Remove the lowest-L1 filters per conv layer and rewire consumers.
 
-    Rankings come from the unmodified input model.  Removed output
-    channels propagate through BN, activations, pooling, upsampling, and
-    concat skips (where channel offsets shift) into every consumer's
-    input-channel axis.  Output class count never changes.
+    Rankings come from the unmodified input model, which must be f32.
+    Removed output channels propagate through BN, activations, pooling,
+    upsampling, and concat skips (where channel offsets shift) into every
+    consumer's input-channel axis.  Output class count never changes.
     """
+    if model.dtype_mode != "float32":
+        raise ValueError("apply_prune requires an f32 model")
     final_id = model.nodes[-1].id
     if plan.ratio(final_id) > 0:
         raise ValueError("the final classifier layer cannot be pruned")
@@ -81,58 +86,29 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         if model.node(lid).kind != "conv":
             raise ValueError(f"layer {lid} is not a conv layer")
 
-    kept_filters: dict[int, np.ndarray] = {}
+    kept: dict[int, np.ndarray] = {}  # node id -> its kept output channels
+    nodes: list[LayerNode] = []
     for n in model.nodes:
-        if n.kind != "conv":
-            continue
-        w = n.params[ParamKind.ConvWeight]
-        k = _filters_to_drop(plan.ratio(n.id), w.shape[0])
-        drop = set(int(i) for i in l1_filter_ranking(w)[:k])
-        kept_filters[n.id] = np.asarray([i for i in range(w.shape[0]) if i not in drop])
-
-    kept_out: dict[int, np.ndarray] = {}
-    new_nodes: list[LayerNode] = []
-    for n in model.nodes:
-        if n.inputs:
-            in_kept = kept_out[n.inputs[0]]
-        else:
-            in_kept = np.arange(model.n_input_channels)
+        chans = kept[n.inputs[0]] if n.inputs else np.arange(model.n_input_channels)
+        params = {}
         if n.kind == "conv":
-            keep = kept_filters[n.id]
-            w = n.params[ParamKind.ConvWeight].data[keep][:, in_kept]
-            b = n.params[ParamKind.ConvBias].data[keep]
-            new_nodes.append(
-                LayerNode(
-                    id=n.id, kind="conv",
-                    params={
-                        ParamKind.ConvWeight: Tensor(w.copy(), "f32"),
-                        ParamKind.ConvBias: Tensor(b.copy(), "f32"),
-                    },
-                    inputs=list(n.inputs), stride=n.stride, padding=n.padding,
-                )
-            )
-            kept_out[n.id] = keep
+            w = n.params[ParamKind.ConvWeight]
+            keep = np.sort(l1_filter_ranking(w)[_filters_to_drop(plan.ratio(n.id), w.shape[0]) :])
+            params = {
+                ParamKind.ConvWeight: Tensor(w.data[keep][:, chans], "f32"),
+                ParamKind.ConvBias: Tensor(n.params[ParamKind.ConvBias].data[keep], "f32"),
+            }
+            chans = keep
         elif n.kind == "batch_norm":
-            params = {k: Tensor(t.data[in_kept].copy(), "f32") for k, t in n.params.items()}
-            new_nodes.append(LayerNode(id=n.id, kind="batch_norm", params=params,
-                                       inputs=list(n.inputs), eps=n.eps))
-            kept_out[n.id] = in_kept
+            params = {k: Tensor(t.data[chans], "f32") for k, t in n.params.items()}
         elif n.kind == "concat":
-            offset = 0
-            pieces = []
-            for src in n.inputs:
-                pieces.append(kept_out[src] + offset)
-                offset += out_channels(model, model.node(src))
-            new_nodes.append(LayerNode(id=n.id, kind="concat", inputs=list(n.inputs)))
-            kept_out[n.id] = np.concatenate(pieces)
-        else:
-            new_nodes.append(LayerNode(id=n.id, kind=n.kind, inputs=list(n.inputs), act=n.act))
-            kept_out[n.id] = in_kept
+            widths = [out_channels(model, model.node(src)) for src in n.inputs]
+            offsets = np.cumsum([0] + widths[:-1])
+            chans = np.concatenate([kept[src] + o for src, o in zip(n.inputs, offsets)])
+        kept[n.id] = chans
+        nodes.append(replace(n, params=params))
 
-    pruned = ModelGraph(
-        new_nodes, model.n_classes, model.n_input_channels, model.dtype_mode,
-        model.input_quant, dict(model.meta),
-    )
+    pruned = replace(model, nodes=nodes)
     validate_model(pruned)
     return pruned
 
@@ -144,18 +120,14 @@ class SensitivityCurve:
     giou_values: tuple[float, ...]
 
 
-def _pooled_metrics(model: ModelGraph, inputs, labels) -> tuple[float, float]:
-    cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
-    for x, y in zip(inputs, labels):
-        cm += confusion_matrix(y, predict_classes(model, x), model.n_classes)
-    return giou_wiou_from_confusion(cm)
-
-
 def evaluate_model(model: ModelGraph, inputs, labels) -> tuple[float, float]:
     """(GIoU, WIoU) pooled over an evaluation set."""
     if len(inputs) != len(labels) or not inputs:
         raise ValueError("need matching, non-empty inputs and labels")
-    return _pooled_metrics(model, inputs, labels)
+    cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
+    for x, y in zip(inputs, labels):
+        cm += confusion_matrix(y, predict_classes(model, x), model.n_classes)
+    return giou_wiou_from_confusion(cm)
 
 
 def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> SensitivityCurve:
@@ -188,54 +160,45 @@ def fold_batch_norm(model: ModelGraph) -> ModelGraph:
         for src in n.inputs:
             consumers[src].append(n.id)
 
-    replaced: dict[int, int] = {}  # BN id -> producing conv id
+    bn_of: dict[int, LayerNode] = {}  # conv id -> the batch_norm it feeds
     for n in model.nodes:
         if n.kind != "batch_norm":
             continue
         if not n.inputs or model.node(n.inputs[0]).kind != "conv":
             raise ValueError(f"batch_norm {n.id} is not fed by a conv layer")
-        conv_id = n.inputs[0]
-        if consumers[conv_id] != [n.id]:
-            raise ValueError(f"conv {conv_id} has consumers besides its batch_norm")
-        replaced[n.id] = conv_id
+        if consumers[n.inputs[0]] != [n.id]:
+            raise ValueError(f"conv {n.inputs[0]} has consumers besides its batch_norm")
+        bn_of[n.inputs[0]] = n
 
-    folded_params: dict[int, dict] = {}
-    for bn_id, conv_id in replaced.items():
-        bn = model.node(bn_id)
-        conv = model.node(conv_id)
-        g = bn.params[ParamKind.BNGamma].data.astype(np.float64)
-        beta = bn.params[ParamKind.BNBeta].data.astype(np.float64)
-        mean = bn.params[ParamKind.BNMean].data.astype(np.float64)
-        var = bn.params[ParamKind.BNVar].data.astype(np.float64)
-        scale = g / np.sqrt(var + bn.eps)
-        w = conv.params[ParamKind.ConvWeight].data.astype(np.float64) * scale[:, None, None, None]
-        b = (conv.params[ParamKind.ConvBias].data.astype(np.float64) - mean) * scale + beta
-        folded_params[conv_id] = {
-            ParamKind.ConvWeight: Tensor(w.astype(np.float32), "f32"),
-            ParamKind.ConvBias: Tensor(b.astype(np.float32), "f32"),
-        }
-
-    old_to_new: dict[int, int] = {}
-    new_nodes: list[LayerNode] = []
+    new_id: dict[int, int] = {}  # a batch_norm maps to its conv's new id
+    nodes: list[LayerNode] = []
     for n in model.nodes:
-        if n.id in replaced:
-            old_to_new[n.id] = old_to_new[replaced[n.id]]
+        if n.kind == "batch_norm":
+            new_id[n.id] = new_id[n.inputs[0]]
             continue
-        nid = len(new_nodes)
-        old_to_new[n.id] = nid
-        params = folded_params.get(n.id) or {k: t.copy() for k, t in n.params.items()}
-        new_nodes.append(
-            LayerNode(
-                id=nid, kind=n.kind, params=params,
-                inputs=[old_to_new[i] for i in n.inputs],
-                stride=n.stride, padding=n.padding, act=n.act, eps=n.eps,
-            )
-        )
-    folded = ModelGraph(
-        new_nodes, model.n_classes, model.n_input_channels, "float32", None, dict(model.meta),
-    )
+        new_id[n.id] = len(nodes)
+        if n.id in bn_of:
+            params = _folded_conv_params(n, bn_of[n.id])
+        else:
+            params = {k: t.copy() for k, t in n.params.items()}
+        nodes.append(replace(n, id=len(nodes), params=params, inputs=[new_id[i] for i in n.inputs]))
+    folded = replace(model, nodes=nodes, dtype_mode="float32", input_quant=None)
     validate_model(folded)
     return folded
+
+
+def _folded_conv_params(conv: LayerNode, bn: LayerNode) -> dict[ParamKind, Tensor]:
+    g = bn.params[ParamKind.BNGamma].data.astype(np.float64)
+    beta = bn.params[ParamKind.BNBeta].data.astype(np.float64)
+    mean = bn.params[ParamKind.BNMean].data.astype(np.float64)
+    var = bn.params[ParamKind.BNVar].data.astype(np.float64)
+    scale = g / np.sqrt(var + bn.eps)
+    w = conv.params[ParamKind.ConvWeight].data.astype(np.float64) * scale[:, None, None, None]
+    b = (conv.params[ParamKind.ConvBias].data.astype(np.float64) - mean) * scale + beta
+    return {
+        ParamKind.ConvWeight: Tensor(w.astype(np.float32), "f32"),
+        ParamKind.ConvBias: Tensor(b.astype(np.float32), "f32"),
+    }
 
 
 def _resolve_quant(graph: ModelGraph, node_id: int | None) -> QuantParams:
@@ -275,34 +238,21 @@ def quantize_model(model: ModelGraph, calibration_inputs) -> ModelGraph:
             else:
                 ranges[nid] = (lo, hi)
 
-    quantized = ModelGraph(
-        [], model.n_classes, model.n_input_channels, "int8",
-        choose_affine_params(in_lo, in_hi), dict(model.meta),
-    )
+    quantized = replace(model, nodes=[], dtype_mode="int8", input_quant=choose_affine_params(in_lo, in_hi))
     for n in model.nodes:
+        changes = {}
         if n.kind == "conv":
             in_quant = _resolve_quant(quantized, n.inputs[0] if n.inputs else None)
             w = n.params[ParamKind.ConvWeight]
             b = n.params[ParamKind.ConvBias]
             w_qp = choose_symmetric_scale(w.data)
             b_qp = QuantParams(w_qp.scale * in_quant.scale, 0)
-            quantized.nodes.append(
-                LayerNode(
-                    id=n.id, kind="conv",
-                    params={
-                        ParamKind.ConvWeight: Tensor(quantize_symmetric(w.data, w_qp), "i8", w_qp),
-                        ParamKind.ConvBias: Tensor(quantize_bias(b.data, b_qp), "i32", b_qp),
-                    },
-                    inputs=list(n.inputs), stride=n.stride, padding=n.padding,
-                    out_quant=choose_affine_params(*ranges[n.id]),
-                )
-            )
-        elif n.kind in ("activation", "concat"):
-            quantized.nodes.append(
-                LayerNode(id=n.id, kind=n.kind, inputs=list(n.inputs), act=n.act,
-                          out_quant=choose_affine_params(*ranges[n.id]))
-            )
-        else:
-            quantized.nodes.append(LayerNode(id=n.id, kind=n.kind, inputs=list(n.inputs)))
+            changes["params"] = {
+                ParamKind.ConvWeight: Tensor(quantize_symmetric(w.data, w_qp), "i8", w_qp),
+                ParamKind.ConvBias: Tensor(quantize_bias(b.data, b_qp), "i32", b_qp),
+            }
+        if n.kind in ("conv", "activation", "concat"):
+            changes["out_quant"] = choose_affine_params(*ranges[n.id])
+        quantized.nodes.append(replace(n, **changes))
     validate_model(quantized)
     return quantized

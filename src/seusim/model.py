@@ -68,7 +68,9 @@ class ModelGraph:
     dtype_mode: str = "float32"
     input_quant: QuantParams | None = None
     meta: dict = field(default_factory=dict)
-    _active_fault: object = field(default=None, repr=False, compare=False)
+    # set by seusim.inject; never an __init__ argument, so a graph derived
+    # with dataclasses.replace starts without the source's active fault
+    _active_fault: object = field(default=None, init=False, repr=False, compare=False)
 
     def node(self, layer_id: int) -> LayerNode:
         if not 0 <= layer_id < len(self.nodes):
@@ -77,24 +79,9 @@ class ModelGraph:
 
     def copy(self) -> "ModelGraph":
         """Independent view with private parameter storage."""
-        nodes = [
-            LayerNode(
-                id=n.id,
-                kind=n.kind,
-                params={k: t.copy() for k, t in n.params.items()},
-                inputs=list(n.inputs),
-                stride=n.stride,
-                padding=n.padding,
-                act=n.act,
-                eps=n.eps,
-                out_quant=n.out_quant,
-            )
-            for n in self.nodes
-        ]
-        return ModelGraph(
-            nodes, self.n_classes, self.n_input_channels, self.dtype_mode,
-            self.input_quant, dict(self.meta),
-        )
+        return replace(self, nodes=[
+            replace(n, params={k: t.copy() for k, t in n.params.items()}) for n in self.nodes
+        ])
 
     def bit_equal(self, other: "ModelGraph") -> bool:
         if (

@@ -102,10 +102,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype!r}, quant={self.quant})"
 
 
-def tensor_f32(data) -> Tensor:
-    return Tensor(data, "f32")
-
-
 # ---------------------------------------------------------------------------
 # quantization helpers
 # ---------------------------------------------------------------------------

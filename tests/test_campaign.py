@@ -26,7 +26,7 @@ from seusim.campaign import (
     write_matrix_csv,
     write_records_csv,
 )
-from seusim.inject import FaultLocation
+from seusim.inject import FaultLocation, apply_fault, revert
 from seusim.model import (
     ParamKind,
     build_bias_probe_model,
@@ -197,6 +197,26 @@ class TestRunCampaign:
         assert [r.input_id for r in runs[1]] == [0, 1] * n
         layers = [r.location.layer_id for r in runs[1]]
         assert layers == sorted(layers)  # plan order
+
+    def test_interrupted_campaign_leaves_model_unfaulted(self, monkeypatch):
+        # jobs=1 injects into the caller's own model
+        g, cfg = tiny_campaign_config()
+        before = g.copy()
+        calls = []
+        real = camp.faulted_classes
+
+        def interrupt_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(camp, "faulted_classes", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(g, cfg, jobs=1)
+        assert len(calls) == 3
+        assert g.bit_equal(before)
+        revert(apply_fault(g, FaultLocation(0, ParamKind.ConvWeight, 0, 31)))
 
     def test_locations_unique_and_in_space(self):
         g, cfg = tiny_campaign_config(cap=40)

@@ -203,6 +203,17 @@ class TestPruneQuantize:
         before, after = stdout.split("parameters: ")[1].split("\n")[0].split(" -> ")
         assert int(after) < int(before)
 
+    def test_prune_of_int8_model_is_data_error(self, tmp_path, model_file, capsys):
+        q = tmp_path / "q.bin"
+        assert run_cli("quantize", "--model", model_file, "--out", q,
+                       "--calib-synthetic", 2, "--size", 16, 16) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"ratios": {"0": 0.5}}))
+        out = tmp_path / "pruned.bin"
+        assert run_cli("prune", "--model", q, "--plan", plan, "--out", out) == 2
+        assert "f32" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quantize_output_runs_int8_inference(self, tmp_path, model_file):
         out = tmp_path / "q.bin"
         assert run_cli("quantize", "--model", model_file, "--out", out,

@@ -125,6 +125,15 @@ class TestApplyPrune:
         with pytest.raises(ValueError, match="not a conv"):
             apply_prune(g, PruningPlan({1: 0.5}))
 
+    def test_quantized_model_rejected(self):
+        g = self.unet()
+        x = synthetic_input(g, 16, 16, seed=1)
+        q = quantize_model(fold_batch_norm(g), [x])
+        with pytest.raises(ValueError, match="requires an f32 model"):
+            apply_prune(q, PruningPlan({0: 0.5}))
+        with pytest.raises(ValueError, match="requires an f32 model"):
+            apply_prune(q, PruningPlan({}))
+
 
 def essential_filter_model():
     """Four-filter model whose lowest-L1 filter carries the only signal."""

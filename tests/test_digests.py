@@ -1,9 +1,12 @@
-"""Pinned `records.csv` digests: any change to a kernel, the executor or the
-campaign scheduler that alters a single record bit fails here.
+"""Pinned digests: any change to a kernel, the executor or the campaign
+scheduler that alters a single `records.csv` bit fails here, and so does
+any change to a model transform that alters a single serialized bit.
 
-Each corpus entry is a (model, config, seed) triple at 32x32 or smaller.
-Sigmoid is left out because `expit` may round differently across libm and
-scipy builds.  To print the digests of the current code:
+Each campaign corpus entry is a (model, config, seed) triple at 32x32 or
+smaller.  Sigmoid is left out of the campaigns because `expit` may round
+differently across libm and scipy builds; the transform corpus keeps it,
+and only its quantize step (calibration runs the sigmoid) depends on
+`expit`.  To print the digests of the current code:
 
     PYTHONPATH=src python -m tests.test_digests
 """
@@ -13,8 +16,10 @@ import hashlib
 import pytest
 
 from seusim.campaign import CampaignConfig, run_campaign, write_records_csv
-from seusim.compress import fold_batch_norm, quantize_model
+from seusim.compress import PRUNE_RATIOS, PruningPlan, apply_prune, fold_batch_norm, quantize_model
+from seusim.inject import FaultLocation, apply_fault, revert
 from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, synthetic_input
+from seusim.modelio import serialize_model
 
 
 def _unet(act, seed):
@@ -70,6 +75,53 @@ def test_records_digest_pinned(name, tmp_path):
     assert records_digest(name, tmp_path / "records.csv") == CORPUS[name][1]
 
 
+def _mixed_plan(g, seed):
+    """A different ratio for every prunable conv, 0.0 and 0.9 included."""
+    convs = [n.id for n in g.nodes[:-1] if n.kind == "conv"]
+    return PruningPlan({lid: PRUNE_RATIOS[(3 * i + seed) % 10] for i, lid in enumerate(convs)})
+
+
+def _derived(g, seed):
+    """copy, prune, fold, quantize (and a copy of the int8 model) of `g`."""
+    pruned = apply_prune(g, _mixed_plan(g, seed))
+    folded = fold_batch_norm(pruned)
+    calib = [synthetic_input(g, 32, 32, seed=seed + s) for s in (40, 41)]
+    quantized = quantize_model(folded, calib)
+    return [g.copy(), pruned, folded, quantized, quantized.copy()]
+
+
+# digests recorded before the transforms were rewritten with dataclasses.replace
+TRANSFORM_SEEDS = (0, 1, 2)
+TRANSFORM_CORPUS = {
+    "relu": "3491dfe58def524f6ca9fda00289e048f68d00744f2e52268687296586d72ce6",
+    "hard_sigmoid": "409b70eeb1bb76a8b5215b95f649ea7c5cab018158f02a61e623e64b9bf5572c",
+    "sigmoid": "cd7f70232d80f5080b4d3fed65fa5716ccfd6e37490c6b9439e03cc199a64e41",
+}
+
+
+def transform_digest(act):
+    h = hashlib.sha256()
+    for seed in TRANSFORM_SEEDS:
+        for m in _derived(_unet(act, seed), seed):
+            h.update(serialize_model(m))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("act", sorted(TRANSFORM_CORPUS))
+def test_transform_digest_pinned(act):
+    assert transform_digest(act) == TRANSFORM_CORPUS[act]
+
+
+def test_derived_models_accept_faults():
+    # a derived model is a new view: the source's active fault stays behind
+    g = _unet("relu", 5)
+    handle = apply_fault(g, FaultLocation(0, ParamKind.ConvWeight, 3, 2))
+    for m in _derived(g, 5):
+        assert m._active_fault is None
+        revert(apply_fault(m, FaultLocation(0, ParamKind.ConvBias, 0, 31)))
+    revert(handle)
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -77,3 +129,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for name in sorted(CORPUS):
             print(name, records_digest(name, Path(d) / "records.csv"))
+    for act in sorted(TRANSFORM_CORPUS):
+        print(act, transform_digest(act))
