@@ -5,10 +5,16 @@ formula
 
     n = N / (1 + e^2 * (N - 1) / (t^2 * p * (1 - p)))
 
-rounded up and capped.  Each injection applies one transient bit flip,
-scores the fraction of output pixels whose predicted class differs from
-the golden reference, and reverts the flip.  Results aggregate into a
-layer x bit-position error matrix.
+rounded up and capped.  `plan` and the sampler share one draw schedule
+per layer: a list of strata, each a list of (fault-space entry, usable
+bits) blocks plus a quota.  `uniform_layer` is one stratum over the
+layer's (element, bit) pairs; `stratified_per_bit` is one stratum per bit
+over the elements that carry it, its quota an equal share of n capped by
+their count.  Each stratum's quota is drawn without replacement and mapped
+to locations through the cumulative block sizes.  Each injection applies
+one transient bit flip, scores the fraction of output pixels whose
+predicted class differs from the golden reference, and reverts the flip.
+Results aggregate into a layer x bit-position error matrix.
 
 The golden forward pass runs once per campaign input and keeps every
 node's output (`seusim.model.golden_trace`); the worker threads share it
@@ -28,7 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,20 +130,27 @@ class CampaignPlan:
         return sum(e.injections for e in self.entries)
 
 
-def _entry_bits(bit_width: int, bits: tuple[int, ...] | None) -> list[int]:
-    if bits is None:
-        return list(range(bit_width))
-    return sorted(b for b in set(bits) if b < bit_width)
-
-
-def _restricted_layer_space(space: FaultSpace, layer_id: int, bits):
-    """(entry, usable bit list) pairs and the restricted fault count."""
-    out = []
+def _layer_schedule(space: FaultSpace, layer_id: int, config: CampaignConfig):
+    """(N, strata) of one layer: N counts the (element, bit) pairs that pass
+    the bits filter; each stratum is ([(entry, usable bits), ...], quota)."""
+    blocks = []
     for e in space.layer_entries(layer_id):
-        usable = _entry_bits(e.bit_width, bits)
+        usable = [b for b in range(e.bit_width) if config.bits is None or b in config.bits]
         if usable:
-            out.append((e, usable))
-    return out, sum(e.count * len(usable) for e, usable in out)
+            blocks.append((e, usable))
+    N = sum(e.count * len(usable) for e, usable in blocks)
+    if N == 0:
+        return 0, []
+    n = sample_size(N, config.e, config.t, config.p, config.cap)
+    if config.sampling == "uniform_layer":
+        return N, [(blocks, n)]
+    bits = sorted({b for _, usable in blocks for b in usable})
+    strata = []
+    for i, b in enumerate(bits):
+        carriers = [(e, [b]) for e, usable in blocks if b in usable]
+        share = n // len(bits) + (i < n % len(bits))
+        strata.append((carriers, min(share, sum(e.count for e, _ in carriers))))
+    return N, strata
 
 
 def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
@@ -146,12 +159,9 @@ def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
     for lid in space.layer_ids():
         if config.layers is not None and lid not in config.layers:
             continue
-        _, n_restricted = _restricted_layer_space(space, lid, config.bits)
-        if n_restricted == 0:
-            continue
-        entries.append(
-            PlanEntry(lid, n_restricted, sample_size(n_restricted, config.e, config.t, config.p, config.cap))
-        )
+        N, strata = _layer_schedule(space, lid, config)
+        if N:
+            entries.append(PlanEntry(lid, N, sum(quota for _, quota in strata)))
     if not entries:
         raise ValueError("empty fault space for this configuration")
     return CampaignPlan(entries)
@@ -188,43 +198,27 @@ def pixel_mismatch_rate(golden: np.ndarray, faulty: np.ndarray) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_layer_locations(space, layer_id, n, config) -> list[FaultLocation]:
-    pairs, total = _restricted_layer_space(space, layer_id, config.bits)
+def _draw_layer(space: FaultSpace, layer_id: int, config: CampaignConfig) -> list[FaultLocation]:
+    """Draw each stratum's quota without replacement, then map every draw
+    of the layer through the cumulative sizes of all its strata's blocks."""
+    _, strata = _layer_schedule(space, layer_id, config)
     rng = np.random.default_rng((config.seed, layer_id))
+    blocks = [block for stratum, _ in strata for block in stratum]
+    bounds = np.cumsum([0] + [e.count * len(usable) for e, usable in blocks])
+    draws, first = [], 0
+    for stratum, quota in strata:
+        last = first + len(stratum)
+        flat = rng.choice(int(bounds[last] - bounds[first]), size=quota, replace=False)
+        if config.sampling == "stratified_per_bit":
+            flat.sort()
+        draws.append(flat + bounds[first])
+        first = last
+    flat = np.concatenate(draws)
+    block = np.searchsorted(bounds, flat, side="right") - 1
     locs: list[FaultLocation] = []
-
-    if config.sampling == "uniform_layer":
-        flat = rng.choice(total, size=n, replace=False)
-        offset = 0
-        blocks = []
-        for e, usable in pairs:
-            blocks.append((offset, e, usable))
-            offset += e.count * len(usable)
-        starts = [b[0] for b in blocks]
-        for f in flat:
-            f = int(f)
-            i = np.searchsorted(starts, f, side="right") - 1
-            start, e, usable = blocks[i]
-            rel = f - start
-            locs.append(FaultLocation(layer_id, e.kind, rel // len(usable), usable[rel % len(usable)]))
-        return locs
-
-    # stratified_per_bit: equal quota per bit position, elements drawn
-    # without replacement within each bit
-    all_bits = sorted({b for _, usable in pairs for b in usable})
-    quotas = {b: n // len(all_bits) for b in all_bits}
-    for b in all_bits[: n % len(all_bits)]:
-        quotas[b] += 1
-    for b in all_bits:
-        eligible = [(e, usable) for e, usable in pairs if b in usable]
-        counts = [e.count for e, _ in eligible]
-        universe = sum(counts)
-        q = min(quotas[b], universe)
-        chosen = rng.choice(universe, size=q, replace=False)
-        bounds = np.cumsum([0] + counts)
-        for c in sorted(int(v) for v in chosen):
-            i = int(np.searchsorted(bounds, c, side="right") - 1)
-            locs.append(FaultLocation(layer_id, eligible[i][0].kind, c - int(bounds[i]), b))
+    for i, rel in zip(block.tolist(), (flat - bounds[block]).tolist()):
+        e, usable = blocks[i]
+        locs.append(FaultLocation(layer_id, e.kind, rel // len(usable), usable[rel % len(usable)]))
     return locs
 
 
@@ -337,11 +331,8 @@ def run_campaign(
         raise ValueError("jobs must be >= 1")
     goldens = [golden_trace(model, x) for x in config.inputs]
     space = enumerate_fault_space(model, config.included_kinds)
-    cplan = plan(model, config)
-
-    locations: list[FaultLocation] = []
-    for entry in cplan.entries:
-        locations.extend(_sample_layer_locations(space, entry.layer_id, entry.injections, config))
+    locations = [loc for entry in plan(model, config).entries
+                 for loc in _draw_layer(space, entry.layer_id, config)]
 
     n = min(jobs, len(locations))
     if n <= 1:
@@ -432,43 +423,20 @@ def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
     return cells
 
 
-def config_to_dict(config: CampaignConfig, input_specs=None) -> dict:
-    d = {
-        "e": config.e,
-        "t": config.t,
-        "p": config.p,
-        "cap": config.cap,
-        "included_kinds": sorted(k.value for k in config.included_kinds),
-        "sampling": config.sampling,
-        "seed": config.seed,
-        "inputs": input_specs if input_specs is not None else [f"<in-memory {i}>" for i in range(len(config.inputs))],
-    }
-    if config.bits is not None:
-        d["bits"] = sorted(config.bits)
-    if config.layers is not None:
-        d["layers"] = sorted(config.layers)
-    return d
-
-
 def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig:
-    known = {"e", "t", "p", "cap", "included_kinds", "sampling", "seed", "inputs", "bits", "layers"}
-    unknown = set(d) - known
+    """A config from its JSON form; `inputs` stands in for the file's input
+    specs.  Absent fields, and an empty `included_kinds`, take the defaults."""
+    defaults = {f.name: f.default for f in fields(CampaignConfig)}
+    unknown = set(d) - set(defaults)
     if unknown:
         raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
-    kinds = d.get("included_kinds")
-    return CampaignConfig(
-        e=float(d.get("e", DEFAULT_E)),
-        t=float(d.get("t", DEFAULT_T)),
-        p=float(d.get("p", DEFAULT_P)),
-        cap=int(d.get("cap", DEFAULT_CAP)),
-        included_kinds=frozenset(ParamKind(k) for k in kinds) if kinds else DEFAULT_CAMPAIGN_KINDS,
-        sampling=d.get("sampling", "uniform_layer"),
-        seed=int(d.get("seed", 0)),
-        inputs=inputs,
-        bits=tuple(int(b) for b in d["bits"]) if "bits" in d else None,
-        layers=tuple(int(l) for l in d["layers"]) if "layers" in d else None,
-    )
-
-
-def with_inputs(config: CampaignConfig, inputs) -> CampaignConfig:
-    return replace(config, inputs=tuple(inputs))
+    kw = {}
+    for name, value in d.items():
+        if name == "included_kinds":
+            if value:
+                kw[name] = frozenset(ParamKind(k) for k in value)
+        elif defaults[name] is None:  # bits, layers
+            kw[name] = tuple(int(v) for v in value)
+        elif name != "inputs":
+            kw[name] = type(defaults[name])(value)
+    return CampaignConfig(**kw, inputs=inputs)

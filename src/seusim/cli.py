@@ -127,9 +127,7 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
 
 def _load_campaign(args, graph):
     raw = json.loads(Path(args.config).read_text())
-    specs = raw.get("inputs", [])
-    config = camp.config_from_dict({k: v for k, v in raw.items() if k != "inputs"})
-    return camp.with_inputs(config, _resolve_inputs(specs, graph)), raw
+    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs", []), graph)), raw
 
 
 def cmd_plan(args) -> int:

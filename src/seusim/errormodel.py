@@ -23,9 +23,6 @@ import numpy as np
 NEGATIVE = "negative"
 POSITIVE = "positive"
 
-# saturation presets observed for 32-bit integer classifier biases
-K_SAT_PRESETS = {"relu": 17, "sigmoid": 19, "hard_sigmoid": 19}
-
 
 def class_frequencies(golden: np.ndarray, n_classes: int) -> np.ndarray:
     """Normalized histogram of a golden class map."""

@@ -147,9 +147,7 @@ def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
 
 def requantize_codes(codes: np.ndarray, src: QuantParams, dst: QuantParams) -> np.ndarray:
     """Re-express int8 codes under new affine parameters (round even, saturate)."""
-    real = (codes.astype(np.float64) - src.zero_point) * src.scale
-    q = np.round(real / dst.scale) + dst.zero_point
-    return np.clip(q, QMIN, QMAX).astype(np.int8)
+    return quantize_affine((codes.astype(np.float64) - src.zero_point) * src.scale, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +291,7 @@ def activation_lut(kind: str, in_quant: QuantParams, out_quant: QuantParams) -> 
     """256-entry int8 lookup table for an activation, indexed by code + 128."""
     codes = np.arange(QMIN, QMAX + 1, dtype=np.int32)
     real = ((codes - in_quant.zero_point) * in_quant.scale).astype(np.float32)
-    y = _F32_ACTIVATIONS[kind](real).astype(np.float64)
-    q = np.round(y / out_quant.scale) + out_quant.zero_point
-    return np.clip(q, QMIN, QMAX).astype(np.int8)
+    return quantize_affine(_F32_ACTIVATIONS[kind](real), out_quant)
 
 
 def _default_act_out_quant(kind: str, in_quant: QuantParams) -> QuantParams:

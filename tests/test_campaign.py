@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from seusim.campaign import (
     CampaignConfig,
     aggregate,
     config_from_dict,
-    config_to_dict,
     golden_run,
     pixel_mismatch_rate,
     plan,
@@ -22,12 +22,14 @@ from seusim.campaign import (
     read_records_csv,
     run_campaign,
     sample_size,
-    with_inputs,
     write_matrix_csv,
     write_records_csv,
 )
+from seusim.compress import fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, revert
 from seusim.model import (
+    ALL_PARAM_KINDS,
+    DEFAULT_CAMPAIGN_KINDS,
     ParamKind,
     build_bias_probe_model,
     build_unet,
@@ -84,6 +86,17 @@ class TestSampleSize:
             sample_size(0)
 
 
+def readme_int8_unet():
+    g = build_unet(depth=2, base_channels=8, n_input_channels=3, n_classes=6, seed=0)
+    return quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=1)])
+
+
+def drawn_counts(model, config, entries):
+    """How many locations a campaign draws for each plan entry."""
+    space = enumerate_fault_space(model, config.included_kinds)
+    return [len(camp._draw_layer(space, e.layer_id, config)) for e in entries]
+
+
 class TestPlan:
     def test_single_parameter_exhaustive(self):
         g = single_conv_model(out_ch=1, in_ch=1)  # 1 weight + 1 bias
@@ -116,6 +129,30 @@ class TestPlan:
         g = single_conv_model()
         with pytest.raises(ValueError, match="empty fault space"):
             plan(g, CampaignConfig(layers=(99,)))
+
+    def test_stratified_int8_plan_counts_the_draws(self):
+        # bits 8-31 exist only in the int32 biases, so their quotas are capped
+        q = readme_int8_unet()
+        cfg = CampaignConfig(sampling="stratified_per_bit", cap=1550,
+                             included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
+        entries = plan(q, cfg).entries
+        assert [e.injections for e in entries] == drawn_counts(q, cfg, entries)
+        assert sum(e.injections for e in entries) == 3828
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["uniform_layer", "stratified_per_bit"]), st.integers(1, 400),
+           st.one_of(st.none(), st.lists(st.integers(0, 40)).flatmap(  # at least one bit < 8
+               lambda bs: st.integers(0, 7).map(lambda b: (*bs, b)))),
+           st.sampled_from([ALL_PARAM_KINDS, frozenset({ParamKind.ConvBias}),
+                            frozenset({ParamKind.BNVar, ParamKind.ConvWeight})]),
+           st.booleans())
+    def test_plan_counts_the_draws(self, sampling, cap, bits, kinds, int8):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        if int8:
+            g = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=1)])
+        cfg = CampaignConfig(sampling=sampling, cap=cap, bits=bits, included_kinds=kinds)
+        entries = plan(g, cfg).entries
+        assert [e.injections for e in entries] == drawn_counts(g, cfg, entries)
 
 
 class TestGoldenAndMismatch:
@@ -183,7 +220,7 @@ class TestRunCampaign:
         # chunks differ in length and records are reassembled out of order
         g, cfg = tiny_campaign_config(cap=5)
         x2 = synthetic_input(g, 16, 16, seed=2)
-        cfg = with_inputs(cfg, (cfg.inputs[0], x2))
+        cfg = replace(cfg, inputs=(cfg.inputs[0], x2))
         n = plan(g, cfg).total_injections()
         assert all(n % jobs for jobs in (2, 3, 8))
         interval = sys.getswitchinterval()
@@ -244,11 +281,9 @@ class TestRunCampaign:
     def test_requires_inputs(self):
         g, cfg = tiny_campaign_config()
         with pytest.raises(ValueError, match="input"):
-            run_campaign(g, with_inputs(cfg, ()))
+            run_campaign(g, replace(cfg, inputs=()))
 
     def test_int8_model_campaign(self):
-        from seusim.compress import fold_batch_norm, quantize_model
-
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=2)
         x = synthetic_input(g, 16, 16, seed=3)
         q = quantize_model(fold_batch_norm(g), [x])
@@ -349,15 +384,25 @@ class TestSerialization:
             assert 0.0 <= cell.mean <= 1.0
             assert cell.std >= 0.0
 
-    def test_config_dict_roundtrip(self):
-        cfg = CampaignConfig(e=0.05, cap=99, seed=3,
-                             included_kinds=frozenset({ParamKind.BNGamma}),
-                             bits=(30, 23), layers=(1, 2))
-        d = config_to_dict(cfg)
-        back = config_from_dict({k: v for k, v in d.items() if k != "inputs"})
-        assert back.e == cfg.e and back.cap == cfg.cap and back.seed == cfg.seed
-        assert back.included_kinds == cfg.included_kinds
-        assert back.bits == (23, 30) and back.layers == (1, 2)
+    def test_config_from_dict_reads_every_field(self):
+        x = synthetic_input(single_conv_model(), 4, 4, seed=0)
+        d = {"e": 0.05, "t": 2.58, "p": 0.25, "cap": 99, "included_kinds": ["BNGamma", "ConvBias"],
+             "sampling": "stratified_per_bit", "seed": 3, "inputs": [{"path": "image.npy"}],
+             "bits": [30, 23], "layers": [2, 1]}
+        cfg = config_from_dict(d, (x,))
+        assert cfg.inputs[0] is x and len(cfg.inputs) == 1  # the specs in `d` are not read
+        assert replace(cfg, inputs=()) == CampaignConfig(
+            e=0.05, t=2.58, p=0.25, cap=99, sampling="stratified_per_bit", seed=3,
+            included_kinds=frozenset({ParamKind.BNGamma, ParamKind.ConvBias}),
+            bits=(30, 23), layers=(2, 1))
+
+    def test_config_from_dict_defaults(self):
+        assert config_from_dict({}) == CampaignConfig()
+        assert config_from_dict({"inputs": ["image.npy"]}).inputs == ()
+        cfg = config_from_dict({"included_kinds": [], "cap": 5})
+        assert cfg.included_kinds == DEFAULT_CAMPAIGN_KINDS and cfg.cap == 5
+        assert (cfg.e, cfg.t, cfg.p, cfg.sampling, cfg.seed, cfg.bits, cfg.layers) == (
+            0.025, 1.96, 0.5, "uniform_layer", 0, None, None)
 
     def test_config_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -78,6 +78,19 @@ class TestPlanRun:
         out = capsys.readouterr().out
         assert "32  32" in out.replace("   ", "  ")
 
+    def test_plan_reports_the_stratified_draws(self, tmp_path, capsys):
+        # per-bit quotas above bit 7 are capped by the int32 biases
+        from seusim.modelio import save_model
+        from tests.test_campaign import readme_int8_unet
+
+        mpath = tmp_path / "int8.bin"
+        save_model(readme_int8_unet(), mpath)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sampling": "stratified_per_bit", "cap": 1550,
+                                   "included_kinds": ["ConvWeight", "ConvBias"]}))
+        assert run_cli("plan", "--model", mpath, "--config", cfg) == 0
+        assert "total injections: 3828" in capsys.readouterr().out
+
     def test_run_is_seed_deterministic(self, tmp_path, model_file, config_file):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("run", "--model", model_file, "--config", config_file, "--out-dir", d1) == 0

@@ -1,6 +1,7 @@
 """Pinned digests: any change to a kernel, the executor or the campaign
 scheduler that alters a single `records.csv` bit fails here, and so does
-any change to a model transform that alters a single serialized bit.
+any change to the sampler that moves a single drawn location, or to a
+model transform that alters a single serialized bit.
 
 Each campaign corpus entry is a (model, config, seed) triple at 32x32 or
 smaller.  Sigmoid is left out of the campaigns because `expit` may round
@@ -12,13 +13,15 @@ and only its quantize step (calibration runs the sigmoid) depends on
 """
 
 import hashlib
+import itertools
 
 import pytest
 
-from seusim.campaign import CampaignConfig, run_campaign, write_records_csv
+import seusim.campaign as camp
+from seusim.campaign import SAMPLING_MODES, CampaignConfig, plan, run_campaign, write_records_csv
 from seusim.compress import PRUNE_RATIOS, PruningPlan, apply_prune, fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, revert
-from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, synthetic_input
+from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, enumerate_fault_space, synthetic_input
 from seusim.modelio import serialize_model
 
 
@@ -73,6 +76,47 @@ def records_digest(name, path):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_records_digest_pinned(name, tmp_path):
     assert records_digest(name, tmp_path / "records.csv") == CORPUS[name][1]
+
+
+def drawn_locations(model, config, entry):
+    """The locations a campaign draws for one plan entry."""
+    space = enumerate_fault_space(model, config.included_kinds)
+    return camp._draw_layer(space, entry.layer_id, config)
+
+
+def _readme_unets():
+    """The README U-Net in f32 and folded int8; sampling reads shapes only."""
+    g = _unet("relu", 0)
+    return g, quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=1)])
+
+
+SAMPLER_CAPS = (1, 7, 1550)
+SAMPLER_BITS = (None, (30, 31), tuple(range(8)), (3, 9, 23, 31, 40))
+SAMPLER_KINDS = (ALL_PARAM_KINDS, frozenset({ParamKind.ConvBias}))
+
+
+def sampler_digest():
+    """SHA-256 over every corpus config of its plan entries' (layer, N) and
+    the locations drawn for them, in draw order.  The injection counts are
+    left out: the drawn locations carry them."""
+    h = hashlib.sha256()
+    for model in _readme_unets():
+        for sampling, cap, bits, kinds in itertools.product(SAMPLING_MODES, SAMPLER_CAPS,
+                                                            SAMPLER_BITS, SAMPLER_KINDS):
+            config = CampaignConfig(cap=cap, seed=cap, sampling=sampling, bits=bits, included_kinds=kinds)
+            for entry in plan(model, config).entries:
+                h.update(f"{entry.layer_id} {entry.fault_space}\n".encode())
+                for loc in drawn_locations(model, config, entry):
+                    h.update(f"{loc.layer_id} {loc.kind.value} {loc.index} {loc.bit}\n".encode())
+    return h.hexdigest()
+
+
+# recorded before plan() and the sampler shared one draw schedule
+SAMPLER_DIGEST = "328d1fee1eb8b86647637b956c97722821a668ee4eca0ac25c55f48f62433683"
+
+
+def test_sampler_digest_pinned():
+    assert sampler_digest() == SAMPLER_DIGEST
 
 
 def _mixed_plan(g, seed):
@@ -131,3 +175,4 @@ if __name__ == "__main__":
             print(name, records_digest(name, Path(d) / "records.csv"))
     for act in sorted(TRANSFORM_CORPUS):
         print(act, transform_digest(act))
+    print("sampler", sampler_digest())
