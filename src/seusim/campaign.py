@@ -11,21 +11,24 @@ bits) blocks plus a quota.  `uniform_layer` is one stratum over the
 layer's (element, bit) pairs; `stratified_per_bit` is one stratum per bit
 over the elements that carry it, its quota an equal share of n capped by
 their count.  Each stratum's quota is drawn without replacement and mapped
-to locations through the cumulative block sizes.  Each injection applies
-one transient bit flip, scores the fraction of output pixels whose
-predicted class differs from the golden reference, and reverts the flip.
-Results aggregate into a layer x bit-position error matrix.
+to locations through the cumulative block sizes.  Each injection builds
+its single bit flip as a value (`seusim.inject.channel_fault`) and scores
+the fraction of output pixels whose predicted class differs from the
+golden reference.  Results aggregate into a layer x bit-position error
+matrix.
 
 The golden forward pass runs once per campaign input and keeps every
-node's output (`seusim.model.golden_trace`); the worker threads share it
-read-only.  An injection recomputes only the one output channel its
-parameter feeds, splices it into a copy of that node's golden output, and
-runs the node's descendants in full (`seusim.model.faulted_classes`).
-The class map is bit-identical to a full forward pass: each channel's
-sum is independent of the other filters, and a one-filter slice reduces
-over (c, i, j) in the same order.  Since cost now falls with the faulted
-layer's depth, worker `i` of `n` takes injections `i, i + n, ...` of the
-plan rather than a contiguous run, and the records are reassembled in
+node's output (`seusim.model.golden_trace`).  The worker threads share it
+and the caller's model, read-only.  An injection recomputes only the one
+output channel its parameter feeds, from the fault's own faulted copy of
+the channel's parameter slice, splices it into a copy of that node's
+golden output, and runs the node's descendants in full
+(`seusim.model.faulted_classes`).  The class map is bit-identical to a
+full forward pass: each channel's sum is independent of the other
+filters, and a one-filter slice reduces over (c, i, j) in the same order.
+Since cost falls with the faulted layer's depth, worker `i` of `n` takes
+injections `i, i + n, ...` of the plan rather than a contiguous run, and
+the records are reassembled in
 plan order, then input order.
 """
 
@@ -38,14 +41,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .inject import FaultLocation, apply_fault, revert
+# apply_fault and revert are unused here, but perfbench/trace.py rebinds them on this module
+from .inject import FaultLocation, apply_fault, channel_fault, revert  # noqa: F401
 from .model import (
     DEFAULT_CAMPAIGN_KINDS,
     FaultSpace,
     ModelGraph,
     ParamKind,
     enumerate_fault_space,
-    fault_channel,
     faulted_classes,
     golden_trace,
     predict_classes,
@@ -285,34 +288,25 @@ def aggregate(records: list[InjectionRecord]) -> ErrorMatrix:
 
 
 def _run_chunk(model: ModelGraph, chunk, goldens) -> list[list[InjectionRecord]]:
-    """Records of each location in `chunk`, one per input."""
+    """Records of each location in `chunk`, one per input; `model` is only read."""
     out = []
     for loc in chunk:
-        handle = apply_fault(model, loc)
-        try:
-            node = model.node(loc.layer_id)
-            width = node.params[loc.kind].bit_width
-            channel = fault_channel(node, loc.kind, loc.index)
-            records = []
-            for input_id, golden in enumerate(goldens):
-                faulty = faulted_classes(model, golden, loc.layer_id, channel)
-                records.append(
-                    InjectionRecord(
-                        location=loc,
-                        bit_width=width,
-                        pre_bits=handle.pre_bits,
-                        post_bits=handle.post_bits,
-                        direction=handle.classification.direction,
-                        field=handle.classification.field,
-                        post_kind=handle.classification.post_kind,
-                        input_id=input_id,
-                        error_rate=pixel_mismatch_rate(golden.classes, faulty),
-                    )
-                )
-        finally:
-            # with jobs=1 this is the caller's model: never leave it faulted
-            revert(handle)
-        out.append(records)
+        fault = channel_fault(model, loc)
+        cls = fault.classification
+        out.append([
+            InjectionRecord(
+                location=loc,
+                bit_width=fault.param.bit_width,
+                pre_bits=fault.pre_bits,
+                post_bits=fault.post_bits,
+                direction=cls.direction,
+                field=cls.field,
+                post_kind=cls.post_kind,
+                input_id=input_id,
+                error_rate=pixel_mismatch_rate(golden.classes, faulted_classes(model, golden, fault)),
+            )
+            for input_id, golden in enumerate(goldens)
+        ])
     return out
 
 
@@ -340,7 +334,7 @@ def run_campaign(
     else:
         # interleaved, so that every worker gets a share of the costly early layers
         with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_run_chunk, [model.copy() for _ in range(n)],
+            parts = list(pool.map(_run_chunk, [model] * n,
                                   [locations[i::n] for i in range(n)], [goldens] * n))
         per_location = [parts[i % n][i // n] for i in range(len(locations))]
     records = [r for recs in per_location for r in recs]
@@ -425,18 +419,26 @@ def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
 
 def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig:
     """A config from its JSON form; `inputs` stands in for the file's input
-    specs.  Absent fields, and an empty `included_kinds`, take the defaults."""
+    specs.  Absent and null fields, and an empty `included_kinds`, take the
+    defaults.  A value of the wrong type is a ValueError naming its field."""
     defaults = {f.name: f.default for f in fields(CampaignConfig)}
     unknown = set(d) - set(defaults)
     if unknown:
         raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
     kw = {}
     for name, value in d.items():
-        if name == "included_kinds":
-            if value:
-                kw[name] = frozenset(ParamKind(k) for k in value)
-        elif defaults[name] is None:  # bits, layers
-            kw[name] = tuple(int(v) for v in value)
-        elif name != "inputs":
-            kw[name] = type(defaults[name])(value)
+        if value is None or name == "inputs":
+            continue
+        try:
+            if name in ("included_kinds", "bits", "layers") and not isinstance(value, list):
+                raise TypeError(f"expected a list, got {value!r}")
+            if name == "included_kinds":
+                if value:
+                    kw[name] = frozenset(ParamKind(k) for k in value)
+            elif defaults[name] is None:  # bits, layers
+                kw[name] = tuple(int(v) for v in value)
+            else:
+                kw[name] = type(defaults[name])(value)
+        except TypeError as e:
+            raise ValueError(f"campaign config field {name!r}: {e}") from None
     return CampaignConfig(**kw, inputs=inputs)

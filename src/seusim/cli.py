@@ -127,7 +127,7 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
 
 def _load_campaign(args, graph):
     raw = json.loads(Path(args.config).read_text())
-    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs", []), graph)), raw
+    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs") or [], graph)), raw
 
 
 def cmd_plan(args) -> int:

@@ -1,9 +1,10 @@
 """Bit-exact single-bit-upset injection and bit-level parameter analysis.
 
 Float32 layout: bit 31 = sign, bits 30..23 = exponent, bits 22..0 =
-mantissa.  Integers are two's complement.  A fault is transient: apply,
-run inference, revert; reverting restores the original bit pattern
-exactly.
+mantissa.  Integers are two's complement.  `apply_fault` flips a bit of
+a model in place until `revert` restores the original pattern exactly;
+`channel_fault` builds the same fault as a value and leaves the model as
+it was.  Both, and `flip_bit`, flip through one core, `_flip`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelGraph, ParamKind
-from .tensor import BIT_WIDTHS, Tensor
+from .tensor import BIT_WIDTHS, DTYPES, RAW_VIEWS, Tensor
 
 F32_SIGN_BIT = 31
 F32_EXP_MSB = 30
@@ -48,46 +49,34 @@ class FlipClassification(NamedTuple):
     post_kind: str  # finite | infinite | nan
 
 
-_F32 = struct.Struct("<f")
-_U32 = struct.Struct("<I")
-_F32_DTYPE = np.dtype(np.float32)  # frombuffer takes a dtype instance faster than a type
+# (pre, post) bit patterns -> their float32 values, in one pack and unpack
+_TWO_U32 = struct.Struct("<2I")
+_TWO_F32 = struct.Struct("<2f")
 
 
-def _bits_to_f32(b: int) -> float:
-    return _F32.unpack(_U32.pack(b))[0]
-
-
-def _f32_bits(value) -> int:
-    if type(value) is np.float32 and value == value:
-        # float32 -> Python float -> float32 is exact for every non-NaN value
-        return _U32.unpack(_F32.pack(value))[0]
-    return int(np.asarray(value, dtype=np.float32).reshape(()).view(np.uint32))
-
-
-def _classify_f32(pre_bits: int, post_bits: int, bit: int) -> FlipClassification:
-    if bit == F32_SIGN_BIT:
-        fld = "sign"
-    elif bit >= F32_EXP_LSB:
-        fld = "exponent"
-    else:
-        fld = "mantissa"
-    direction = "zero_to_one" if (pre_bits >> bit) & 1 == 0 else "one_to_zero"
-    exp = (post_bits >> F32_EXP_LSB) & 0xFF
-    mant = post_bits & 0x7FFFFF
-    if exp == 0xFF:
-        post_kind = "nan" if mant else "infinite"
-    else:
-        post_kind = "finite"
-    return FlipClassification(fld, direction, _bits_to_f32(pre_bits), _bits_to_f32(post_bits), post_kind)
-
-
-def _classify_int(pre: int, post: int, bit: int, width: int) -> FlipClassification:
+def _flip(raw: np.ndarray, index: int, bit: int, dtype: str) -> tuple[int, int, FlipClassification]:
+    """Toggle `bit` of element `index` of `raw`, an unsigned view of a
+    `dtype` tensor, in place.  Returns (pre_bits, post_bits, classification)."""
+    width = BIT_WIDTHS[dtype]
+    if not 0 <= bit < width:
+        raise ValueError(f"bit {bit} out of range for {dtype}")
+    pre = raw.item(index)
+    post = pre ^ (1 << bit)
+    raw[index] = post
+    direction = "one_to_zero" if pre >> bit & 1 else "zero_to_one"
+    if dtype == "f32":
+        fld = "sign" if bit == F32_SIGN_BIT else "exponent" if bit >= F32_EXP_LSB else "mantissa"
+        if post >> F32_EXP_LSB & 0xFF == 0xFF:
+            post_kind = "nan" if post & 0x7FFFFF else "infinite"
+        else:
+            post_kind = "finite"
+        pre_value, post_value = _TWO_F32.unpack(_TWO_U32.pack(pre, post))
+        return pre, post, FlipClassification(fld, direction, pre_value, post_value, post_kind)
+    sign = 1 << (width - 1)  # two's complement: the sign bit weighs -2**(width - 1)
     fld = "sign" if bit == width - 1 else "magnitude"
-    direction = "zero_to_one" if (pre >> bit) & 1 == 0 else "one_to_zero"
-    half = 1 << (width - 1)
-    full = 1 << width
-    signed = lambda u: u - full if u >= half else u
-    return FlipClassification(fld, direction, float(signed(pre)), float(signed(post)), "finite")
+    return pre, post, FlipClassification(
+        fld, direction, float(pre - 2 * (pre & sign)), float(post - 2 * (post & sign)), "finite"
+    )
 
 
 def flip_bit(value, dtype: str, bit: int):
@@ -95,20 +84,11 @@ def flip_bit(value, dtype: str, bit: int):
 
     Returns (new_value, FlipClassification).
     """
-    width = BIT_WIDTHS[dtype]
-    if not 0 <= bit < width:
-        raise ValueError(f"bit {bit} out of range for {dtype}")
-    if dtype == "f32":
-        # NaNs stay in float32 representation: converting them through
-        # Python floats would quiet signaling NaNs and break bit-exactness
-        pre = _f32_bits(value)
-        post = pre ^ (1 << bit)
-        return np.frombuffer(_U32.pack(post), _F32_DTYPE)[0], _classify_f32(pre, post, bit)
-    mask = (1 << width) - 1
-    pre = int(value) & mask
-    post = pre ^ (1 << bit)
-    cls = _classify_int(pre, post, bit, width)
-    return (np.int8 if dtype == "i8" else np.int32)(int(cls.post_value)), cls
+    # a one-element array, never a Python float: that would quiet a signalling NaN
+    cell = np.empty(1, DTYPES[dtype])
+    cell[0] = value
+    _, _, cls = _flip(cell.view(RAW_VIEWS[dtype]), 0, bit, dtype)
+    return cell[0], cls
 
 
 @dataclass
@@ -130,29 +110,20 @@ def _locate(model: ModelGraph, loc: FaultLocation) -> Tensor:
     t = node.params[loc.kind]
     if not 0 <= loc.index < t.size:
         raise ValueError(f"element index {loc.index} out of range ({t.size} elements)")
-    if not 0 <= loc.bit < t.bit_width:
-        raise ValueError(f"bit {loc.bit} out of range for {t.dtype}")
     return t
 
 
 def apply_fault(model: ModelGraph, loc: FaultLocation) -> FaultHandle:
-    """Flip one bit of one stored parameter element, in place.
+    """Flip one bit of one stored parameter element, in place, until `revert`.
 
-    At most one fault may be active per model view; use ModelGraph.copy()
-    for concurrent campaigns.
+    At most one fault may be active per model.  Campaigns do not write to
+    the model: they build each fault as a value with `channel_fault`, and
+    this in-place form is the reference that tests hold them to.
     """
     if model._active_fault is not None:
         raise FaultStateError("a fault is already active on this model view")
     t = _locate(model, loc)
-    raw = t.raw_bits()
-    pre = int(raw[loc.index])
-    raw[loc.index] = pre ^ (1 << loc.bit)
-    post = int(raw[loc.index])
-    if t.dtype == "f32":
-        cls = _classify_f32(pre, post, loc.bit)
-    else:
-        cls = _classify_int(pre, post, loc.bit, t.bit_width)
-    handle = FaultHandle(model, loc, pre, post, cls)
+    handle = FaultHandle(model, loc, *_flip(t.raw_bits(), loc.index, loc.bit, t.dtype))
     model._active_fault = handle
     return handle
 
@@ -165,6 +136,26 @@ def revert(handle: FaultHandle) -> None:
     t.raw_bits()[handle.location.index] = handle.pre_bits
     handle.active = False
     handle.model._active_fault = None
+
+
+class ChannelFault(NamedTuple):
+    """A fault as a value: the output channel its element feeds, and a faulted
+    copy of that channel's slice of the parameter (a conv filter or one element)."""
+
+    location: FaultLocation
+    channel: int
+    param: Tensor
+    pre_bits: int
+    post_bits: int
+    classification: FlipClassification
+
+
+def channel_fault(model: ModelGraph, loc: FaultLocation) -> ChannelFault:
+    """`loc` as a value for `seusim.model.faulted_classes`; `model` is only read."""
+    t = _locate(model, loc)
+    channel, offset = divmod(loc.index, t.size // t.shape[0])
+    param = Tensor(t.data[channel : channel + 1].copy(), t.dtype, t.quant)
+    return ChannelFault(loc, channel, param, *_flip(param.raw_bits(), offset, loc.bit, t.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ for bit-level fault application (see seusim.inject).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .tensor import (
     quantize_affine,
     upsample2,
 )
+
+if TYPE_CHECKING:
+    from .inject import ChannelFault
 
 LAYER_KINDS = ("conv", "batch_norm", "max_pool2", "upsample2", "activation", "concat")
 
@@ -84,20 +88,21 @@ class ModelGraph:
         ])
 
     def bit_equal(self, other: "ModelGraph") -> bool:
-        if (
-            len(self.nodes) != len(other.nodes)
-            or self.n_classes != other.n_classes
-            or self.n_input_channels != other.n_input_channels
-            or self.dtype_mode != other.dtype_mode
-        ):
-            return False
-        for a, b in zip(self.nodes, other.nodes):
-            if a.kind != b.kind or a.inputs != b.inputs or set(a.params) != set(b.params):
-                return False
-            for k, t in a.params.items():
-                if not t.bit_equal(b.params[k]):
-                    return False
-        return True
+        """Every field equal, parameters bit for bit, except `meta`: a JSON
+        round trip turns its tuples into lists."""
+        same = lambda a, b, skip: all(
+            getattr(a, f.name) == getattr(b, f.name) for f in fields(a) if f.compare and f.name not in skip
+        )
+        return (
+            len(self.nodes) == len(other.nodes)
+            and same(self, other, ("nodes", "meta"))
+            and all(
+                same(a, b, ("params",))
+                and a.params.keys() == b.params.keys()
+                and all(t.bit_equal(b.params[k]) for k, t in a.params.items())
+                for a, b in zip(self.nodes, other.nodes)
+            )
+        )
 
 
 def out_channels(graph: ModelGraph, node: LayerNode) -> int:
@@ -289,36 +294,32 @@ def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
     return GoldenTrace(v, produced, argmax_classes(logits), top)
 
 
-def fault_channel(node: LayerNode, kind: ParamKind, index: int) -> int:
-    """The one output channel of `node` that element `index` of `kind` feeds."""
-    if kind is ParamKind.ConvWeight:
-        return index // (node.params[kind].size // node.params[kind].shape[0])
-    return index
-
-
-def _one_channel(n: LayerNode, c: int, golden: GoldenTrace) -> Tensor:
-    """Output channel `c` of node `n` on golden inputs, computed by the node's
-    own kernel on a one-filter (conv) or one-channel (batch_norm) slice."""
+def _one_channel(n: LayerNode, fault: ChannelFault, golden: GoldenTrace) -> Tensor:
+    """Output channel `fault.channel` of node `n` on golden inputs, computed by
+    the node's own kernel on the faulted one-filter or one-channel slice."""
+    c = fault.channel
     src = golden.produced[n.inputs[0]] if n.inputs else golden.x
     if n.kind == "batch_norm":
         src = Tensor(src.data[:, c : c + 1], src.dtype, src.quant)
     params = {k: Tensor(t.data[c : c + 1], t.dtype, t.quant) for k, t in n.params.items()}
+    params[fault.location.kind] = fault.param
     return _KERNELS[n.kind](replace(n, params=params), [src])
 
 
-def faulted_logits(graph: ModelGraph, golden: GoldenTrace, layer_id: int, channel: int) -> Tensor:
-    """Logits [n_classes, H, W] of `graph`, whose parameters differ from the
-    golden run only in output channel `channel` of node `layer_id`.
+def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> Tensor:
+    """Logits [n_classes, H, W] of `graph` with `fault` (from
+    `seusim.inject.channel_fault`) applied; `graph` itself is only read.
 
-    That channel is recomputed and spliced into a copy of the node's golden
-    output; the node's descendants run in full and read every other input
-    from `golden`.  Bit-identical to `run_model`: a channel's sums do not
-    depend on the other filters, and a one-filter slice reduces over
-    (c, i, j) in the same order.
+    The fault's channel is recomputed and spliced into a copy of its node's
+    golden output; the node's descendants run in full and read every other
+    input from `golden`.  Bit-identical to `run_model` on the graph with
+    the fault applied in place: a channel's sums do not depend on the other
+    filters, and a one-filter slice reduces over (c, i, j) in the same order.
     """
+    layer_id = fault.location.layer_id
     base = golden.produced[layer_id]
     spliced = base.data.copy()
-    spliced[:, channel] = _one_channel(graph.node(layer_id), channel, golden).data[:, 0]
+    spliced[:, fault.channel] = _one_channel(graph.node(layer_id), fault, golden).data[:, 0]
     produced = dict(golden.produced)
     produced[layer_id] = Tensor(spliced, base.dtype, base.quant)
     dirty = {layer_id}
@@ -330,16 +331,17 @@ def faulted_logits(graph: ModelGraph, golden: GoldenTrace, layer_id: int, channe
     return _logits(_execute(cone, golden.x, produced)[graph.nodes[-1].id])
 
 
-def faulted_classes(graph: ModelGraph, golden: GoldenTrace, layer_id: int, channel: int) -> np.ndarray:
+def faulted_classes(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> np.ndarray:
     """`argmax_classes(faulted_logits(...))`, bit for bit.
 
     A fault in the output node changes one class channel only; it is then
     ranked against the golden top two keys instead of every class.
     """
     last = graph.nodes[-1].id
-    if layer_id != last or golden.top is None:
-        return argmax_classes(faulted_logits(graph, golden, layer_id, channel))
-    new = _one_channel(graph.node(last), channel, golden).data[0, 0]
+    if fault.location.layer_id != last or golden.top is None:
+        return argmax_classes(faulted_logits(graph, golden, fault))
+    channel = fault.channel
+    new = _one_channel(graph.node(last), fault, golden).data[0, 0]
     key = _class_keys(new)
     k1, c1, k2, c2 = golden.top
     was_top = c1 == channel

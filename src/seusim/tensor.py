@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-DTYPES = {"f32": np.float32, "i8": np.int8, "i32": np.int32}
+# dtype instances, not scalar types: numpy converts a type on every call
+DTYPES = {"f32": np.dtype(np.float32), "i8": np.dtype(np.int8), "i32": np.dtype(np.int32)}
 BIT_WIDTHS = {"f32": 32, "i8": 8, "i32": 32}
-RAW_VIEWS = {"f32": np.uint32, "i8": np.uint8, "i32": np.uint32}
+RAW_VIEWS = {"f32": np.dtype(np.uint32), "i8": np.dtype(np.uint8), "i32": np.dtype(np.uint32)}
 ACTIVATION_KINDS = ("relu", "sigmoid", "hard_sigmoid")
 
 # int8 code range used everywhere saturation applies

@@ -235,8 +235,21 @@ class TestRunCampaign:
         layers = [r.location.layer_id for r in runs[1]]
         assert layers == sorted(layers)  # plan order
 
+    @pytest.mark.parametrize("dtype", ["f32", "int8"])
+    def test_campaign_never_writes_to_the_model(self, dtype):
+        g, cfg = tiny_campaign_config(included_kinds=ALL_PARAM_KINDS)
+        if dtype == "int8":
+            g = quantize_model(fold_batch_norm(g), list(cfg.inputs))
+            cfg = replace(cfg, included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
+        writable = run_campaign(g, cfg)[0]
+        for n in g.nodes:
+            for t in n.params.values():
+                t.data.flags.writeable = False
+        for jobs in (1, 2, 3):
+            assert run_campaign(g, cfg, jobs=jobs)[0] == writable
+
     def test_interrupted_campaign_leaves_model_unfaulted(self, monkeypatch):
-        # jobs=1 injects into the caller's own model
+        # workers only read the caller's model, whatever the job count
         g, cfg = tiny_campaign_config()
         before = g.copy()
         calls = []
@@ -403,6 +416,19 @@ class TestSerialization:
         assert cfg.included_kinds == DEFAULT_CAMPAIGN_KINDS and cfg.cap == 5
         assert (cfg.e, cfg.t, cfg.p, cfg.sampling, cfg.seed, cfg.bits, cfg.layers) == (
             0.025, 1.96, 0.5, "uniform_layer", 0, None, None)
+
+    def test_config_from_dict_null_is_absent(self):
+        d = {name: None for name in ("e", "t", "p", "cap", "included_kinds", "sampling", "seed",
+                                     "inputs", "bits", "layers")}
+        assert config_from_dict(d) == CampaignConfig()
+
+    @pytest.mark.parametrize("name,value", [
+        ("bits", 30), ("bits", "30"), ("layers", 2), ("layers", {"2": 1}),
+        ("included_kinds", "ConvBias"), ("seed", [1]), ("cap", {}),
+    ])
+    def test_config_from_dict_wrong_type_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            config_from_dict({name: value})
 
     def test_config_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

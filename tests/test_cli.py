@@ -91,6 +91,14 @@ class TestPlanRun:
         assert run_cli("plan", "--model", mpath, "--config", cfg) == 0
         assert "total injections: 3828" in capsys.readouterr().out
 
+    def test_config_nulls_and_wrong_types(self, tmp_path, model_file, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"bits": None, "layers": None, "seed": None, "inputs": None}))
+        assert run_cli("plan", "--model", model_file, "--config", cfg) == 0
+        cfg.write_text(json.dumps({"bits": 30}))
+        assert run_cli("plan", "--model", model_file, "--config", cfg) == 2
+        assert "'bits'" in capsys.readouterr().err
+
     def test_run_is_seed_deterministic(self, tmp_path, model_file, config_file):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("run", "--model", model_file, "--config", config_file, "--out-dir", d1) == 0

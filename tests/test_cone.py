@@ -1,8 +1,10 @@
 """Differential tests: the cone-only faulted forward against the full one.
 
-`faulted_logits` and `faulted_classes` recompute only the faulted channel
-and its descendants; with the fault applied, their logits must equal
-`run_model`'s bit for bit, and their class map `predict_classes`'.
+`faulted_logits` and `faulted_classes` take a fault built as a value on
+the clean model and recompute only the faulted channel and its
+descendants; their logits must equal `run_model`'s on the model with the
+fault applied in place, bit for bit, and their class map
+`predict_classes`'.
 """
 
 import numpy as np
@@ -11,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seusim.compress import fold_batch_norm, quantize_model
-from seusim.inject import FaultLocation, apply_fault, revert
+from seusim.inject import FaultLocation, apply_fault, channel_fault, revert
 from seusim.model import (
     ALL_PARAM_KINDS,
     ParamKind,
     build_unet,
-    fault_channel,
     faulted_classes,
     faulted_logits,
     golden_trace,
@@ -48,17 +49,18 @@ MODELS = _build()
 
 
 def check_location(g, x, golden, loc):
-    """Apply `loc`, compare the cone forward with the full one, revert.
+    """Compare the cone forward of `loc` as a value with the full forward
+    of `g` with `loc` applied in place, then revert.
 
     Returns whether the logits held a non-finite value."""
+    fault = channel_fault(g, loc)
+    cone = faulted_logits(g, golden, fault)
+    classes = faulted_classes(g, golden, fault)
     handle = apply_fault(g, loc)
     try:
-        channel = fault_channel(g.node(loc.layer_id), loc.kind, loc.index)
         full = run_model(g, x)
-        cone = faulted_logits(g, golden, loc.layer_id, channel)
         assert cone.dtype == full.dtype and cone.quant == full.quant
         assert np.array_equal(cone.raw_bits(), full.raw_bits()), loc
-        classes = faulted_classes(g, golden, loc.layer_id, channel)
         assert np.array_equal(classes, predict_classes(g, x)), loc
         return full.dtype == "f32" and not np.isfinite(full.data).all()
     finally:
@@ -118,9 +120,7 @@ def test_all_minus_inf_pixel_falls_back_to_full_ranking():
     np.testing.assert_array_equal(golden.classes, [[2, 1], [2, 1]])
     loc = FaultLocation(0, ParamKind.ConvWeight, 2, 30)
     check_location(g, x, golden, loc)
-    handle = apply_fault(g, loc)
-    classes = faulted_classes(g, golden, 0, 2)
-    revert(handle)
+    classes = faulted_classes(g, golden, channel_fault(g, loc))
     np.testing.assert_array_equal(classes, [[1, 2], [1, 2]])
 
 

@@ -12,12 +12,14 @@ from seusim.inject import (
     FaultStateError,
     apply_fault,
     census_of_values,
+    channel_fault,
     flip_bit,
     partial_exponent_census,
     revert,
     value_range_census,
 )
-from seusim.model import ParamKind, build_unet
+from seusim.compress import fold_batch_norm, quantize_model
+from seusim.model import ParamKind, build_unet, synthetic_input
 from seusim.modelio import model_digest, serialize_model
 from seusim.tensor import Tensor
 
@@ -182,6 +184,39 @@ class TestApplyRevert:
         assert serialize_model(model) != serialize_model(view)
         revert(handle)
         assert serialize_model(model) == serialize_model(view)
+
+
+_F32_UNET = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+_INT8_UNET = quantize_model(fold_batch_norm(_F32_UNET), [synthetic_input(_F32_UNET, 8, 8, seed=1)])
+
+
+class TestChannelFault:
+    @pytest.mark.parametrize("model,kind", [
+        *[(_F32_UNET, k) for k in ParamKind],
+        (_INT8_UNET, ParamKind.ConvWeight), (_INT8_UNET, ParamKind.ConvBias),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_apply_fault(self, model, kind, data):
+        lid, t = data.draw(st.sampled_from([(n.id, n.params[kind]) for n in model.nodes if kind in n.params]))
+        loc = FaultLocation(lid, kind, data.draw(st.integers(0, t.size - 1)),
+                            data.draw(st.integers(0, t.bit_width - 1)))
+        before = serialize_model(model)
+        fault = channel_fault(model, loc)
+        assert serialize_model(model) == before
+        handle = apply_fault(model, loc)
+        try:
+            assert (fault.pre_bits, fault.post_bits) == (handle.pre_bits, handle.post_bits)
+            # repr, not ==: a NaN pre_value or post_value never equals itself
+            assert repr(fault.classification) == repr(handle.classification)
+            c = fault.channel
+            assert fault.param.bit_equal(Tensor(t.data[c : c + 1], t.dtype, t.quant))
+        finally:
+            revert(handle)
+
+    def test_invalid_locations(self):
+        with pytest.raises(ValueError):
+            channel_fault(_F32_UNET, FaultLocation(0, ParamKind.ConvWeight, 0, 32))
 
 
 class TestValueRangeCensus:

@@ -176,6 +176,22 @@ class TestModelFile:
         assert loaded.input_quant == q.input_quant
         assert [n.out_quant for n in loaded.nodes] == [n.out_quant for n in q.nodes]
 
+    def test_bit_equal_compares_execution_fields(self):
+        from dataclasses import replace
+
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=1)
+        q = quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=0)])
+        conv = q.nodes[0]
+        variants = [replace(q, input_quant=QuantParams(2 * q.input_quant.scale, q.input_quant.zero_point))]
+        for change in ({"out_quant": QuantParams(1.0, 3)}, {"stride": 2}, {"padding": 0},
+                       {"act": "relu"}, {"eps": 0.5}):
+            variants.append(replace(q, nodes=[replace(conv, **change), *q.nodes[1:]]))
+        assert q.bit_equal(q.copy())
+        assert not any(q.bit_equal(v) or v.bit_equal(q) for v in variants)
+        assert q.bit_equal(replace(q, meta={}))  # meta is not compared
+
     def test_truncated_file_reports_corrupt(self, tmp_path):
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         blob = serialize_model(g)
