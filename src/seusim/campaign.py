@@ -26,10 +26,12 @@ golden output, and runs the node's descendants in full
 (`seusim.model.faulted_classes`).  The class map is bit-identical to a
 full forward pass: each channel's sum is independent of the other
 filters, and a one-filter slice reduces over (c, i, j) in the same order.
-Since cost falls with the faulted layer's depth, worker `i` of `n` takes
-injections `i, i + n, ...` of the plan rather than a contiguous run, and
-the records are reassembled in
-plan order, then input order.
+Each injection is one task.  At jobs = 1 they run in plan order on the
+caller's thread; at jobs > 1 a thread pool hands the next injection to
+whichever worker is idle, so the costly early layers spread without a
+fixed deal, and `Executor.map` returns the records in plan order, then
+input order.  An exception or interrupt cancels every injection not yet
+started, so the campaign stops after the ones in flight.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -287,27 +290,24 @@ def aggregate(records: list[InjectionRecord]) -> ErrorMatrix:
     return ErrorMatrix(cells, rates.size, mean, std, mean_nz, n_nz)
 
 
-def _run_chunk(model: ModelGraph, chunk, goldens) -> list[list[InjectionRecord]]:
-    """Records of each location in `chunk`, one per input; `model` is only read."""
-    out = []
-    for loc in chunk:
-        fault = channel_fault(model, loc)
-        cls = fault.classification
-        out.append([
-            InjectionRecord(
-                location=loc,
-                bit_width=fault.param.bit_width,
-                pre_bits=fault.pre_bits,
-                post_bits=fault.post_bits,
-                direction=cls.direction,
-                field=cls.field,
-                post_kind=cls.post_kind,
-                input_id=input_id,
-                error_rate=pixel_mismatch_rate(golden.classes, faulted_classes(model, golden, fault)),
-            )
-            for input_id, golden in enumerate(goldens)
-        ])
-    return out
+def _inject(model: ModelGraph, goldens, loc: FaultLocation) -> list[InjectionRecord]:
+    """Records of one location, one per input; `model` is only read."""
+    fault = channel_fault(model, loc)
+    cls = fault.classification
+    return [
+        InjectionRecord(
+            location=loc,
+            bit_width=fault.param.bit_width,
+            pre_bits=fault.pre_bits,
+            post_bits=fault.post_bits,
+            direction=cls.direction,
+            field=cls.field,
+            post_kind=cls.post_kind,
+            input_id=input_id,
+            error_rate=pixel_mismatch_rate(golden.classes, faulted_classes(model, golden, fault)),
+        )
+        for input_id, golden in enumerate(goldens)
+    ]
 
 
 def run_campaign(
@@ -329,15 +329,12 @@ def run_campaign(
                  for loc in _draw_layer(space, entry.layer_id, config)]
 
     n = min(jobs, len(locations))
+    inject = partial(_inject, model, goldens)
     if n <= 1:
-        per_location = _run_chunk(model, locations, goldens)
+        records = [r for recs in map(inject, locations) for r in recs]
     else:
-        # interleaved, so that every worker gets a share of the costly early layers
         with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(_run_chunk, [model] * n,
-                                  [locations[i::n] for i in range(n)], [goldens] * n))
-        per_location = [parts[i % n][i // n] for i in range(len(locations))]
-    records = [r for recs in per_location for r in recs]
+            records = [r for recs in pool.map(inject, locations) for r in recs]
     return records, aggregate(records)
 
 
@@ -417,10 +414,20 @@ def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
     return cells
 
 
+def _json_value(value, kind: type):
+    """`value` if JSON gives it as a `kind`: an integer for int, any number
+    for float.  A bool is not a number and a float is never an int."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig:
     """A config from its JSON form; `inputs` stands in for the file's input
     specs.  Absent and null fields, and an empty `included_kinds`, take the
-    defaults.  A value of the wrong type is a ValueError naming its field."""
+    defaults.  A value of the wrong type, such as 1.7 or true for an integer,
+    is a ValueError naming its field."""
     defaults = {f.name: f.default for f in fields(CampaignConfig)}
     unknown = set(d) - set(defaults)
     if unknown:
@@ -436,9 +443,9 @@ def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig
                 if value:
                     kw[name] = frozenset(ParamKind(k) for k in value)
             elif defaults[name] is None:  # bits, layers
-                kw[name] = tuple(int(v) for v in value)
+                kw[name] = tuple(_json_value(v, int) for v in value)
             else:
-                kw[name] = type(defaults[name])(value)
+                kw[name] = _json_value(value, type(defaults[name]))
         except TypeError as e:
             raise ValueError(f"campaign config field {name!r}: {e}") from None
     return CampaignConfig(**kw, inputs=inputs)

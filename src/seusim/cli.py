@@ -312,6 +312,7 @@ def cmd_prune(args) -> int:
 def cmd_quantize(args) -> int:
     started = time.time()
     graph = load_model(args.model)
+    model_hash = model_digest(graph)  # of the input, not of its folded form
     if any(n.kind == "batch_norm" for n in graph.nodes):
         graph = compress.fold_batch_norm(graph)
         print("folded batch_norm layers into convolutions")
@@ -329,8 +330,7 @@ def cmd_quantize(args) -> int:
     print(f"fault space N: {space}")
     print(f"wrote {out}")
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "quantize", [out], started,
-                    config=vars_without(args, "func"), model_hash=model_digest(graph),
-                    seed=args.calib_seed)
+                    config=vars_without(args, "func"), model_hash=model_hash, seed=args.calib_seed)
     return 0
 
 

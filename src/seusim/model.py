@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .tensor import (
+    ACTIVATION_KINDS,
     QuantParams,
     Tensor,
     activation,
@@ -119,7 +120,7 @@ def out_channels(graph: ModelGraph, node: LayerNode) -> int:
 
 def validate_model(graph: ModelGraph) -> None:
     """Structural checks: dense ids, topological inputs, consistent shapes,
-    and BN variances with var + eps > 0."""
+    known activations, conv strides >= 1, and BN variances with var + eps > 0."""
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
@@ -133,8 +134,12 @@ def validate_model(graph: ModelGraph) -> None:
             raise ValueError("concat needs at least two inputs")
         if n.kind != "concat" and n_in > 1:
             raise ValueError(f"{n.kind} takes a single input")
+        if n.kind == "activation" and n.act not in ACTIVATION_KINDS:
+            raise ValueError(f"activation {i} has unknown function {n.act!r}")
         in_ch = graph.n_input_channels if n_in == 0 else out_channels(graph, graph.node(n.inputs[0]))
         if n.kind == "conv":
+            if n.stride < 1:
+                raise ValueError(f"conv {i} stride must be >= 1, got {n.stride}")
             w = n.params[ParamKind.ConvWeight]
             if w.data.ndim != 4 or w.shape[1] != in_ch:
                 raise ValueError(f"conv {i} weight {w.shape} inconsistent with {in_ch} input channels")

@@ -121,7 +121,7 @@ def deserialize_model(blob: bytes) -> ModelGraph:
     (version,) = struct.unpack_from("<H", blob, 4)
     if version != VERSION:
         raise ModelVersionError(f"unsupported model format version {version}")
-    if len(blob) < 10 or zlib.crc32(blob[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+    if zlib.crc32(blob[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
         raise ModelFormatError("checksum mismatch (corrupt model file)")
 
     r = _Reader(blob[:-4])
@@ -157,10 +157,12 @@ def deserialize_model(blob: bytes) -> ModelGraph:
             params[_PARAM_FROM_TAG[ptag]] = Tensor(arr, dtype, quant)
         if kind_tag not in _KIND_FROM_TAG:
             raise ModelFormatError("unknown layer kind tag")
+        if act_tag not in _ACT_FROM_TAG:
+            raise ModelFormatError("unknown activation tag")
         nodes.append(
             LayerNode(
                 id=nid, kind=_KIND_FROM_TAG[kind_tag], params=params, inputs=inputs,
-                stride=stride, padding=padding, act=_ACT_FROM_TAG.get(act_tag), eps=eps,
+                stride=stride, padding=padding, act=_ACT_FROM_TAG[act_tag], eps=eps,
                 out_quant=out_quant,
             )
         )

@@ -1,5 +1,6 @@
 """Campaign planning, execution, aggregation, and serialization."""
 
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -268,6 +269,26 @@ class TestRunCampaign:
         assert g.bit_equal(before)
         revert(apply_fault(g, FaultLocation(0, ParamKind.ConvWeight, 0, 31)))
 
+    def test_interrupt_with_workers_cancels_the_injections_not_started(self, monkeypatch):
+        # every worker takes one injection at a time, so an interrupt stops
+        # the campaign after the injections in flight, not after a worker's share
+        g, cfg = tiny_campaign_config(cap=20)
+        n = plan(g, cfg).total_injections()
+        assert n >= 100
+        calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
+        real = camp.faulted_classes
+
+        def interrupt_third(*args):
+            if next(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(camp, "faulted_classes", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(g, cfg, jobs=2)
+        ran = next(calls) - 1
+        assert 3 <= ran < n // 2
+
     def test_locations_unique_and_in_space(self):
         g, cfg = tiny_campaign_config(cap=40)
         records, _ = run_campaign(g, cfg)
@@ -425,9 +446,12 @@ class TestSerialization:
     @pytest.mark.parametrize("name,value", [
         ("bits", 30), ("bits", "30"), ("layers", 2), ("layers", {"2": 1}),
         ("included_kinds", "ConvBias"), ("seed", [1]), ("cap", {}),
+        ("seed", 1.7), ("seed", "7"), ("seed", True), ("cap", True), ("cap", 12.0),
+        ("bits", [30.9]), ("bits", ["30"]), ("layers", [True]), ("layers", [1.5]),
+        ("e", True), ("e", "0.05"), ("t", False), ("p", "0.5"), ("sampling", 1),
     ])
     def test_config_from_dict_wrong_type_names_the_field(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"field '{name}'"):
             config_from_dict({name: value})
 
     def test_config_unknown_field_rejected(self):

@@ -99,6 +99,40 @@ class TestPlanRun:
         assert run_cli("plan", "--model", model_file, "--config", cfg) == 2
         assert "'bits'" in capsys.readouterr().err
 
+    def test_plan_out_writes_the_printed_plan(self, tmp_path, model_file, config_file, capsys):
+        out = tmp_path / "plan.csv"
+        assert run_cli("plan", "--model", model_file, "--config", config_file, "--out", out) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = out.read_text().splitlines()
+        assert rows[0] == "layer_id,fault_space,injections"
+        assert [r.replace(",", "  ") for r in rows[1:]] == [
+            line.strip() for line in printed[1:len(rows)]]
+        total = sum(int(r.split(",")[2]) for r in rows[1:])
+        assert f"total injections: {total}" in printed
+
+    def test_npy_inputs_in_both_spellings(self, tmp_path, model_file):
+        # a saved synthetic image gives the records of the synthetic spec itself
+        from seusim.model import synthetic_input
+
+        img = tmp_path / "x.npy"
+        np.save(img, synthetic_input(load_model(model_file), 16, 16, seed=1).data)
+        cfg = tmp_path / "c.json"
+        digests = set()
+        for spec in (str(img), {"path": str(img)}, {"synthetic": {"height": 16, "width": 16, "seed": 1}}):
+            cfg.write_text(json.dumps({"seed": 5, "cap": 6, "inputs": [spec]}))
+            d = tmp_path / f"r{len(digests)}"
+            assert run_cli("run", "--model", model_file, "--config", cfg, "--out-dir", d) == 0
+            digests.add(sha(d / "records.csv"))
+        assert len(digests) == 1
+
+    def test_input_array_must_be_chw(self, tmp_path, model_file, capsys):
+        img = tmp_path / "x.npy"
+        np.save(img, np.zeros((1, 3, 16, 16), dtype=np.float32))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"inputs": [{"path": str(img)}]}))
+        assert run_cli("run", "--model", model_file, "--config", cfg, "--out-dir", tmp_path / "r") == 2
+        assert "[C, H, W]" in capsys.readouterr().err
+
     def test_run_is_seed_deterministic(self, tmp_path, model_file, config_file):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("run", "--model", model_file, "--config", config_file, "--out-dir", d1) == 0
@@ -165,6 +199,21 @@ class TestPredictCompare:
         assert json.loads(out.read_text())["bias_signs"] == [
             "negative", "positive", "negative", "positive", "negative", "positive"]
 
+    def test_predict_from_golden_map_and_model(self, tmp_path, model_file):
+        from seusim.errormodel import bias_signs, class_frequencies
+        from seusim.model import ParamKind, predict_classes, synthetic_input
+
+        g = load_model(model_file)
+        golden = predict_classes(g, synthetic_input(g, 16, 16, seed=1))
+        path = tmp_path / "golden.npy"
+        np.save(path, golden)
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--golden", path, "--out", out) == 2  # needs --model
+        assert run_cli("predict", "--golden", path, "--model", model_file, "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["class_frequencies"] == class_frequencies(golden, 6).tolist()
+        assert report["bias_signs"] == list(bias_signs(g.nodes[-1].params[ParamKind.ConvBias].data))
+
     def test_predict_without_inputs_is_error(self, tmp_path):
         assert run_cli("predict", "--out", tmp_path / "p.json") == 2
 
@@ -196,6 +245,22 @@ class TestPredictCompare:
         assert run_cli("compare", "--matrix", matrix, "--prediction", pred, "--out", out) == 0
         c = json.loads(out.read_text())["comparisons"][0]
         assert c["abs_deviation"] < 1e-4 and c["exceeds_halfwidth"] is False
+
+    def test_compare_weighted_quantized_error(self, tmp_path):
+        # every bit of the profile's range measured: the weighted comparison joins the MSB one
+        pred = tmp_path / "p.json"
+        run_cli("predict", "--freqs", "0,41.22,5.23,23.97,6.18,23.39", "--signs", "n,p,n,p,p,p",
+                "--k-sat", 19, "--out", pred)
+        matrix = tmp_path / "matrix.csv"
+        self._write_matrix(matrix, [(2, b, 6, 0.5 if b >= 19 else 0.0, 0.0, 0.5, 0.5) for b in range(31)])
+        out = tmp_path / "cmp.json"
+        assert run_cli("compare", "--matrix", matrix, "--prediction", pred, "--out", out) == 0
+        by_quantity = {c["quantity"]: c for c in json.loads(out.read_text())["comparisons"]}
+        weighted = by_quantity["weighted_quantized_error"]
+        assert weighted["measured"] == 0.5  # saturated_only weights bits 19..30 alone
+        assert weighted["expected"] == pytest.approx(0.5175, abs=1.5e-4)
+        assert weighted["abs_deviation"] == pytest.approx(abs(0.5 - weighted["expected"]))
+        assert set(by_quantity) == {"exponent_msb_error", "weighted_quantized_error"}
 
     def test_compare_empty_overlap_is_error(self, tmp_path):
         pred = tmp_path / "p.json"
@@ -245,6 +310,13 @@ class TestPruneQuantize:
 
         x = synthetic_input(q, 16, 16, seed=4)
         assert predict_classes(q, x).shape == (16, 16)
+
+    def test_quantize_manifest_records_the_input_hash(self, tmp_path, model_file):
+        out = tmp_path / "q.bin"
+        assert run_cli("quantize", "--model", model_file, "--out", out,
+                       "--calib-synthetic", 1, "--size", 16, 16) == 0
+        manifest = json.loads((tmp_path / "q.bin.manifest.json").read_text())
+        assert manifest["model_sha256"] == sha(model_file)
 
     def test_quantize_accepts_npy_calibration(self, tmp_path, model_file):
         img = tmp_path / "img.npy"

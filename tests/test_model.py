@@ -1,5 +1,7 @@
 """Model zoo: graph construction, fault space, probe models, file format."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,54 @@ class TestValidation:
             validate_model(g)
         with pytest.raises(ValueError, match="positive"):
             deserialize_model(serialize_model(g))
+
+    # each case breaks the f32 graph g or its int8 form q and returns the broken one
+    @pytest.mark.parametrize("break_graph,match", [
+        (lambda g, q: setattr(g.nodes[3], "kind", "avg_pool") or g, "unknown layer kind"),
+        (lambda g, q: setattr(g.nodes[8], "inputs", [7]) or g, "at least two inputs"),
+        (lambda g, q: setattr(g.nodes[3], "inputs", [2, 1]) or g, "single input"),
+        (lambda g, q: g.nodes[4].params.update(
+            {ParamKind.ConvWeight: Tensor(np.zeros((8, 3, 3, 3), np.float32), "f32")}) or g, "weight"),
+        (lambda g, q: g.nodes[4].params.update(
+            {ParamKind.ConvBias: Tensor(np.zeros(7, np.float32), "f32")}) or g, "bias inconsistent"),
+        (lambda g, q: g.nodes[5].params.update(
+            {ParamKind.BNMean: Tensor(np.zeros(4, np.float32), "f32")}) or g, "BNMean inconsistent"),
+        (lambda g, q: setattr(g.nodes[6], "act", None) or g, "activation 6 .*None"),
+        (lambda g, q: setattr(g.nodes[6], "act", "tanh") or g, "activation 6 .*tanh"),
+        (lambda g, q: setattr(g.nodes[4], "stride", 0) or g, "stride"),
+        (lambda g, q: g.nodes.pop() and g, "output node must be a conv"),
+        (lambda g, q: setattr(q, "input_quant", None) or q, "input QuantParams"),
+        (lambda g, q: q.nodes.__setitem__(2, replace(g.nodes[1], id=2, inputs=[1])) or q,
+         "standalone batch_norm"),
+        (lambda g, q: setattr(q.nodes[6], "out_quant", None) or q, "node 6 missing output QuantParams"),
+    ])
+    def test_malformed_graph_rejected(self, break_graph, match):
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        q = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=0)])
+        validate_model(g)
+        validate_model(q)
+        broken = break_graph(g, q)
+        with pytest.raises(ValueError, match=match):
+            validate_model(broken)
+
+    @pytest.mark.parametrize("change", [{"act": None}, {"stride": 0}])
+    def test_unrunnable_model_does_not_load(self, change):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        node = 6 if "act" in change else 4
+        g.nodes[node] = replace(g.nodes[node], **change)
+        with pytest.raises(ValueError, match="activation 6|stride"):
+            deserialize_model(serialize_model(g))
+
+    def test_unknown_activation_tag_is_format_error(self, monkeypatch):
+        import seusim.modelio
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        monkeypatch.setitem(seusim.modelio._ACT_TAGS, "relu", 9)
+        blob = serialize_model(g)  # tag 9 under a valid checksum
+        with pytest.raises(ModelFormatError, match="activation tag"):
+            deserialize_model(blob)
 
     def test_synthetic_input_respects_pool_depth(self):
         g = build_unet(depth=2, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
