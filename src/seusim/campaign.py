@@ -5,17 +5,17 @@ formula
 
     n = N / (1 + e^2 * (N - 1) / (t^2 * p * (1 - p)))
 
-rounded up and capped.  `plan` and the sampler share one draw schedule
-per layer: a list of strata, each a list of (fault-space entry, usable
-bits) blocks plus a quota.  `uniform_layer` is one stratum over the
-layer's (element, bit) pairs; `stratified_per_bit` is one stratum per bit
-over the elements that carry it, its quota an equal share of n capped by
-their count.  Each stratum's quota is drawn without replacement and mapped
-to locations through the cumulative block sizes.  Each injection builds
-its single bit flip as a value (`seusim.inject.channel_fault`) and scores
-the fraction of output pixels whose predicted class differs from the
-golden reference.  Results aggregate into a layer x bit-position error
-matrix.
+rounded up and capped.  `plan` draws the locations and `run_campaign`
+injects exactly those, in plan order: each `PlanEntry` holds its layer's
+N and its drawn locations, so the planned count is the injected count.
+`uniform_layer` draws n of the layer's (element, bit) pairs without
+replacement; `stratified_per_bit` draws an equal share of n per bit,
+capped by the elements that carry the bit.  The draws depend only on the
+model's shapes and the config, with one generator per (seed, layer); a
+negative seed is a config error.  Each injection builds its single bit
+flip as a value (`seusim.inject.channel_fault`) and scores the fraction
+of output pixels whose predicted class differs from the golden
+reference.  Results aggregate into a layer x bit-position error matrix.
 
 The golden forward pass runs once per campaign input and keeps every
 node's output (`seusim.model.golden_trace`).  The worker threads share it
@@ -113,6 +113,8 @@ class CampaignConfig:
     def __post_init__(self):
         if not 0 < self.e < 1 or self.t <= 0 or not 0 < self.p < 1 or self.cap < 1:
             raise ValueError("campaign parameters out of range")
+        if self.seed < 0:
+            raise ValueError(f"campaign config field 'seed': must be non-negative, got {self.seed}")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if not self.included_kinds:
@@ -125,7 +127,11 @@ class CampaignConfig:
 class PlanEntry:
     layer_id: int
     fault_space: int  # N
-    injections: int  # n
+    locations: tuple[FaultLocation, ...]  # drawn, in injection order
+
+    @property
+    def injections(self) -> int:
+        return len(self.locations)
 
 
 @dataclass
@@ -136,9 +142,11 @@ class CampaignPlan:
         return sum(e.injections for e in self.entries)
 
 
-def _layer_schedule(space: FaultSpace, layer_id: int, config: CampaignConfig):
-    """(N, strata) of one layer: N counts the (element, bit) pairs that pass
-    the bits filter; each stratum is ([(entry, usable bits), ...], quota)."""
+def _draw_layer(space: FaultSpace, layer_id: int, config: CampaignConfig):
+    """(N, locations) of one layer.  N counts the (element, bit) pairs that
+    pass the bits filter.  Each stratum, a list of (entry, usable bits)
+    blocks, has its quota drawn without replacement; every draw of the layer
+    then maps to a location through the cumulative sizes of all the blocks."""
     blocks = []
     for e in space.layer_entries(layer_id):
         usable = [b for b in range(e.bit_width) if config.bits is None or b in config.bits]
@@ -146,28 +154,48 @@ def _layer_schedule(space: FaultSpace, layer_id: int, config: CampaignConfig):
             blocks.append((e, usable))
     N = sum(e.count * len(usable) for e, usable in blocks)
     if N == 0:
-        return 0, []
+        return 0, ()
     n = sample_size(N, config.e, config.t, config.p, config.cap)
     if config.sampling == "uniform_layer":
-        return N, [(blocks, n)]
-    bits = sorted({b for _, usable in blocks for b in usable})
-    strata = []
-    for i, b in enumerate(bits):
-        carriers = [(e, [b]) for e, usable in blocks if b in usable]
-        share = n // len(bits) + (i < n % len(bits))
-        strata.append((carriers, min(share, sum(e.count for e, _ in carriers))))
-    return N, strata
+        strata = [(blocks, n)]
+    else:
+        bits = sorted({b for _, usable in blocks for b in usable})
+        strata = []
+        for i, b in enumerate(bits):
+            carriers = [(e, [b]) for e, usable in blocks if b in usable]
+            share = n // len(bits) + (i < n % len(bits))
+            strata.append((carriers, min(share, sum(e.count for e, _ in carriers))))
+        blocks = [block for carriers, _ in strata for block in carriers]
+    rng = np.random.default_rng((config.seed, layer_id))
+    bounds = np.cumsum([0] + [e.count * len(usable) for e, usable in blocks])
+    draws, first = [], 0
+    for stratum, quota in strata:
+        last = first + len(stratum)
+        flat = rng.choice(int(bounds[last] - bounds[first]), size=quota, replace=False)
+        if config.sampling == "stratified_per_bit":
+            flat.sort()
+        draws.append(flat + bounds[first])
+        first = last
+    flat = np.concatenate(draws)
+    block = np.searchsorted(bounds, flat, side="right") - 1
+    locations = []
+    for i, rel in zip(block.tolist(), (flat - bounds[block]).tolist()):
+        e, usable = blocks[i]
+        locations.append(FaultLocation(layer_id, e.kind, rel // len(usable), usable[rel % len(usable)]))
+    return N, tuple(locations)
 
 
 def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
+    """Each selected layer's fault-space size N and the locations drawn
+    from it, in the order `run_campaign` injects them."""
     space = enumerate_fault_space(model, config.included_kinds)
     entries = []
     for lid in space.layer_ids():
         if config.layers is not None and lid not in config.layers:
             continue
-        N, strata = _layer_schedule(space, lid, config)
+        N, locations = _draw_layer(space, lid, config)
         if N:
-            entries.append(PlanEntry(lid, N, sum(quota for _, quota in strata)))
+            entries.append(PlanEntry(lid, N, locations))
     if not entries:
         raise ValueError("empty fault space for this configuration")
     return CampaignPlan(entries)
@@ -198,34 +226,6 @@ def pixel_mismatch_rate(golden: np.ndarray, faulty: np.ndarray) -> float:
     if golden.shape != faulty.shape:
         raise ValueError(f"class map shapes differ: {golden.shape} vs {faulty.shape}")
     return float(np.count_nonzero(golden != faulty) / golden.size)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def _draw_layer(space: FaultSpace, layer_id: int, config: CampaignConfig) -> list[FaultLocation]:
-    """Draw each stratum's quota without replacement, then map every draw
-    of the layer through the cumulative sizes of all its strata's blocks."""
-    _, strata = _layer_schedule(space, layer_id, config)
-    rng = np.random.default_rng((config.seed, layer_id))
-    blocks = [block for stratum, _ in strata for block in stratum]
-    bounds = np.cumsum([0] + [e.count * len(usable) for e, usable in blocks])
-    draws, first = [], 0
-    for stratum, quota in strata:
-        last = first + len(stratum)
-        flat = rng.choice(int(bounds[last] - bounds[first]), size=quota, replace=False)
-        if config.sampling == "stratified_per_bit":
-            flat.sort()
-        draws.append(flat + bounds[first])
-        first = last
-    flat = np.concatenate(draws)
-    block = np.searchsorted(bounds, flat, side="right") - 1
-    locs: list[FaultLocation] = []
-    for i, rel in zip(block.tolist(), (flat - bounds[block]).tolist()):
-        e, usable = blocks[i]
-        locs.append(FaultLocation(layer_id, e.kind, rel // len(usable), usable[rel % len(usable)]))
-    return locs
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,8 @@ def run_campaign(
         raise ValueError("campaign needs at least one input image")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    locations = [loc for e in plan(model, config).entries for loc in e.locations]
     goldens = [golden_trace(model, x) for x in config.inputs]
-    space = enumerate_fault_space(model, config.included_kinds)
-    locations = [loc for entry in plan(model, config).entries
-                 for loc in _draw_layer(space, entry.layer_id, config)]
 
     n = min(jobs, len(locations))
     inject = partial(_inject, model, goldens)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, campaign as camp, compress, errormodel, inject, model as zoo
 from .modelio import ModelFormatError, load_model, model_digest, save_model
-from .tensor import Tensor
+from .tensor import ACTIVATION_KINDS, Tensor
 
 ENV_OUT_DIR = "SEUSIM_OUT_DIR"
 
@@ -109,7 +109,18 @@ def _load_input_tensor(path: str) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float32), "f32")
 
 
+def _read_json_object(path) -> dict:
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {raw!r}")
+    return raw
+
+
 def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
+    if specs is None:  # absent or null, as for every config field
+        return ()
+    if not isinstance(specs, list):
+        raise ValueError(f"campaign config field 'inputs': expected a list, got {specs!r}")
     inputs = []
     for spec in specs:
         if isinstance(spec, str):
@@ -117,17 +128,20 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
         elif isinstance(spec, dict) and "path" in spec:
             inputs.append(_load_input_tensor(spec["path"]))
         elif isinstance(spec, dict) and "synthetic" in spec:
-            s = spec["synthetic"]
-            inputs.append(zoo.synthetic_input(graph, int(s["height"]), int(s["width"]),
-                                              seed=int(s.get("seed", 0))))
+            try:
+                s = {"seed": 0, **spec["synthetic"]}
+                h, w, seed = (camp._json_value(s[k], int) for k in ("height", "width", "seed"))
+            except TypeError as e:
+                raise ValueError(f"synthetic input spec {spec['synthetic']!r}: {e}") from None
+            inputs.append(zoo.synthetic_input(graph, h, w, seed=seed))
         else:
             raise ValueError(f"unrecognized input spec: {spec!r}")
     return tuple(inputs)
 
 
 def _load_campaign(args, graph):
-    raw = json.loads(Path(args.config).read_text())
-    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs") or [], graph)), raw
+    raw = _read_json_object(args.config)
+    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs"), graph)), raw
 
 
 def cmd_plan(args) -> int:
@@ -231,7 +245,7 @@ def cmd_compare(args) -> int:
     cells = camp.read_matrix_csv(args.matrix)
     if not cells:
         raise ValueError("matrix file has no cells")
-    report = json.loads(Path(args.prediction).read_text())
+    report = _read_json_object(args.prediction)
     layer = args.layer if args.layer is not None else max(lid for lid, _ in cells)
 
     comparisons = []
@@ -251,17 +265,10 @@ def cmd_compare(args) -> int:
             bit_range=tuple(report["profile"]["bit_range"]),
             weighting=report["profile"]["weighting"],
         )
-        rates = {}
-        complete = True
-        for b in prof.bits():
-            cell = cells.get((layer, int(b)))
-            if cell is None:
-                complete = False
-                break
-            rates[int(b)] = cell.mean
-        if complete:
+        bits = prof.bits().tolist()
+        if all((layer, b) in cells for b in bits):
             expected = float(report["expected_quantized_error"])
-            measured = errormodel.measured_weighted_rate(rates, prof)
+            measured = errormodel.measured_weighted_rate([cells[layer, b].mean for b in bits], prof)
             comparisons.append({
                 "quantity": "weighted_quantized_error",
                 "layer": layer,
@@ -292,8 +299,13 @@ def _param_count(graph) -> int:
 def cmd_prune(args) -> int:
     started = time.time()
     graph = load_model(args.model)
-    raw = json.loads(Path(args.plan).read_text())
-    ratios = {int(k): float(v) for k, v in raw.get("ratios", {}).items()}
+    ratios = _read_json_object(args.plan).get("ratios", {})
+    try:
+        if not isinstance(ratios, dict):
+            raise TypeError(f"expected a JSON object, got {ratios!r}")
+        ratios = {int(k): camp._json_value(v, float) for k, v in ratios.items()}
+    except TypeError as e:
+        raise ValueError(f"{args.plan}: field 'ratios': {e}") from None
     pruned = compress.apply_prune(graph, compress.PruningPlan(ratios))
     out = Path(args.out)
     save_model(pruned, out)
@@ -375,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-channels", type=_positive_int, default=8)
     p.add_argument("--in-channels", type=_positive_int, default=3)
     p.add_argument("--classes", type=_positive_int, default=6)
-    p.add_argument("--activation", choices=("relu", "sigmoid", "hard_sigmoid"), default="relu")
+    p.add_argument("--activation", choices=ACTIVATION_KINDS, default="relu")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)

@@ -92,10 +92,18 @@ def readme_int8_unet():
     return quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=1)])
 
 
-def drawn_counts(model, config, entries):
-    """How many locations a campaign draws for each plan entry."""
+def assert_drawn_from_the_fault_space(model, config, entries):
+    """Each entry's locations are distinct, and each is an (element, bit) of
+    the entry's layer with an included kind and a bit that passes the filter."""
     space = enumerate_fault_space(model, config.included_kinds)
-    return [len(camp._draw_layer(space, e.layer_id, config)) for e in entries]
+    for entry in entries:
+        assert len(set(entry.locations)) == len(entry.locations) == entry.injections
+        shapes = {e.kind: (e.count, e.bit_width) for e in space.layer_entries(entry.layer_id)}
+        for loc in entry.locations:
+            assert loc.layer_id == entry.layer_id and loc.kind in config.included_kinds
+            count, bit_width = shapes[loc.kind]
+            assert 0 <= loc.index < count and 0 <= loc.bit < bit_width
+            assert config.bits is None or loc.bit in config.bits
 
 
 class TestPlan:
@@ -137,7 +145,7 @@ class TestPlan:
         cfg = CampaignConfig(sampling="stratified_per_bit", cap=1550,
                              included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
         entries = plan(q, cfg).entries
-        assert [e.injections for e in entries] == drawn_counts(q, cfg, entries)
+        assert_drawn_from_the_fault_space(q, cfg, entries)
         assert sum(e.injections for e in entries) == 3828
 
     @settings(max_examples=30, deadline=None)
@@ -152,8 +160,7 @@ class TestPlan:
         if int8:
             g = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=1)])
         cfg = CampaignConfig(sampling=sampling, cap=cap, bits=bits, included_kinds=kinds)
-        entries = plan(g, cfg).entries
-        assert [e.injections for e in entries] == drawn_counts(g, cfg, entries)
+        assert_drawn_from_the_fault_space(g, cfg, plan(g, cfg).entries)
 
 
 class TestGoldenAndMismatch:
@@ -217,8 +224,8 @@ class TestRunCampaign:
         assert m1.cells == m4.cells == m8.cells
 
     def test_multi_input_record_order_across_job_counts(self):
-        # 35 injections: no job count below divides it, so the interleaved
-        # chunks differ in length and records are reassembled out of order
+        # 35 injections: no job count below divides it, so the workers never
+        # finish in step and the pool must still return records in plan order
         g, cfg = tiny_campaign_config(cap=5)
         x2 = synthetic_input(g, 16, 16, seed=2)
         cfg = replace(cfg, inputs=(cfg.inputs[0], x2))
@@ -235,6 +242,19 @@ class TestRunCampaign:
         assert [r.input_id for r in runs[1]] == [0, 1] * n
         layers = [r.location.layer_id for r in runs[1]]
         assert layers == sorted(layers)  # plan order
+
+    @pytest.mark.parametrize("dtype", ["f32", "int8"])
+    def test_records_inject_the_plan(self, dtype):
+        # each planned location once per input, in plan order, at any job count
+        g, cfg = tiny_campaign_config(cap=5)
+        cfg = replace(cfg, inputs=(cfg.inputs[0], synthetic_input(g, 16, 16, seed=2)))
+        if dtype == "int8":
+            g = quantize_model(fold_batch_norm(g), list(cfg.inputs))
+            cfg = replace(cfg, sampling="stratified_per_bit",
+                          included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
+        planned = [loc for e in plan(g, cfg).entries for loc in e.locations for _ in cfg.inputs]
+        for jobs in (1, 2):
+            assert [r.location for r in run_campaign(g, cfg, jobs=jobs)[0]] == planned
 
     @pytest.mark.parametrize("dtype", ["f32", "int8"])
     def test_campaign_never_writes_to_the_model(self, dtype):
@@ -448,7 +468,7 @@ class TestSerialization:
         ("included_kinds", "ConvBias"), ("seed", [1]), ("cap", {}),
         ("seed", 1.7), ("seed", "7"), ("seed", True), ("cap", True), ("cap", 12.0),
         ("bits", [30.9]), ("bits", ["30"]), ("layers", [True]), ("layers", [1.5]),
-        ("e", True), ("e", "0.05"), ("t", False), ("p", "0.5"), ("sampling", 1),
+        ("e", True), ("e", "0.05"), ("t", False), ("p", "0.5"), ("sampling", 1), ("seed", -1),
     ])
     def test_config_from_dict_wrong_type_names_the_field(self, name, value):
         with pytest.raises(ValueError, match=f"field '{name}'"):

@@ -99,6 +99,23 @@ class TestPlanRun:
         assert run_cli("plan", "--model", model_file, "--config", cfg) == 2
         assert "'bits'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, named", [
+        ({"seed": -1}, "'seed'"),
+        ({"inputs": "m.npy"}, "'inputs'"),
+        ({"inputs": [{"synthetic": {"height": 8.9, "width": 8}}]}, "8.9"),
+        ({"inputs": [{"synthetic": {"height": 8, "width": 8, "seed": True}}]}, "True"),
+        ([{"seed": 1}], "c.json"),
+    ])
+    def test_config_errors_exit_2_on_plan_and_run(self, tmp_path, model_file, capsys, config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        errors = []
+        for command in (["plan"], ["run", "--out-dir", tmp_path / "r"]):
+            assert run_cli(*command, "--model", model_file, "--config", cfg) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and named in errors[0]
+        assert not (tmp_path / "r").exists()
+
     def test_plan_out_writes_the_printed_plan(self, tmp_path, model_file, config_file, capsys):
         out = tmp_path / "plan.csv"
         assert run_cli("plan", "--model", model_file, "--config", config_file, "--out", out) == 0
@@ -231,7 +248,8 @@ class TestPredictCompare:
         out = tmp_path / "cmp.json"
         assert run_cli("compare", "--matrix", matrix, "--prediction", pred, "--out", out) == 0
         report = json.loads(out.read_text())
-        c = report["comparisons"][0]
+        [c] = report["comparisons"]  # no weighted comparison: the profile's bits are not all measured
+        assert c["quantity"] == "exponent_msb_error"
         assert c["abs_deviation"] == pytest.approx(0.0329, abs=1e-3)
         assert c["exceeds_halfwidth"] is True
 
@@ -262,6 +280,15 @@ class TestPredictCompare:
         assert weighted["abs_deviation"] == pytest.approx(abs(0.5 - weighted["expected"]))
         assert set(by_quantity) == {"exponent_msb_error", "weighted_quantized_error"}
 
+    def test_prediction_must_be_a_json_object(self, tmp_path, capsys):
+        pred = tmp_path / "p.json"
+        pred.write_text("0.5")
+        matrix = tmp_path / "matrix.csv"
+        self._write_matrix(matrix, [(2, 30, 6, 0.34, 0.3, 0.4, 0.83)])
+        assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
+                       "--out", tmp_path / "cmp.json") == 2
+        assert "p.json" in capsys.readouterr().err
+
     def test_compare_empty_overlap_is_error(self, tmp_path):
         pred = tmp_path / "p.json"
         run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27",
@@ -288,6 +315,19 @@ class TestPruneQuantize:
         stdout = capsys.readouterr().out
         before, after = stdout.split("parameters: ")[1].split("\n")[0].split(" -> ")
         assert int(after) < int(before)
+
+    @pytest.mark.parametrize("content, named", [
+        ([0.5], "plan.json"),
+        ({"ratios": [1]}, "'ratios'"),
+        ({"ratios": {"0": "0.5"}}, "'ratios'"),
+        ({"ratios": {"0": True}}, "'ratios'"),
+    ])
+    def test_malformed_prune_plan_is_data_error(self, tmp_path, model_file, capsys, content, named):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(content))
+        out = tmp_path / "pruned.bin"
+        assert run_cli("prune", "--model", model_file, "--plan", plan, "--out", out) == 2
+        assert named in capsys.readouterr().err and not out.exists()
 
     def test_prune_of_int8_model_is_data_error(self, tmp_path, model_file, capsys):
         q = tmp_path / "q.bin"

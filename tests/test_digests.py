@@ -17,11 +17,10 @@ import itertools
 
 import pytest
 
-import seusim.campaign as camp
 from seusim.campaign import SAMPLING_MODES, CampaignConfig, plan, run_campaign, write_records_csv
 from seusim.compress import PRUNE_RATIOS, PruningPlan, apply_prune, fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, revert
-from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, enumerate_fault_space, synthetic_input
+from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, synthetic_input
 from seusim.modelio import serialize_model
 
 
@@ -78,12 +77,6 @@ def test_records_digest_pinned(name, tmp_path):
     assert records_digest(name, tmp_path / "records.csv") == CORPUS[name][1]
 
 
-def drawn_locations(model, config, entry):
-    """The locations a campaign draws for one plan entry."""
-    space = enumerate_fault_space(model, config.included_kinds)
-    return camp._draw_layer(space, entry.layer_id, config)
-
-
 def _readme_unets():
     """The README U-Net in f32 and folded int8; sampling reads shapes only."""
     g = _unet("relu", 0)
@@ -106,7 +99,7 @@ def sampler_digest():
             config = CampaignConfig(cap=cap, seed=cap, sampling=sampling, bits=bits, included_kinds=kinds)
             for entry in plan(model, config).entries:
                 h.update(f"{entry.layer_id} {entry.fault_space}\n".encode())
-                for loc in drawn_locations(model, config, entry):
+                for loc in entry.locations:
                     h.update(f"{loc.layer_id} {loc.kind.value} {loc.index} {loc.bit}\n".encode())
     return h.hexdigest()
 
