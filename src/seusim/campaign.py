@@ -171,10 +171,11 @@ def _draw_layer(space: FaultSpace, layer_id: int, config: CampaignConfig):
     draws, first = [], 0
     for stratum, quota in strata:
         last = first + len(stratum)
-        flat = rng.choice(int(bounds[last] - bounds[first]), size=quota, replace=False)
-        if config.sampling == "stratified_per_bit":
-            flat.sort()
-        draws.append(flat + bounds[first])
+        if quota:  # a size-0 choice draws nothing and leaves the generator as it was
+            flat = rng.choice(int(bounds[last] - bounds[first]), size=quota, replace=False)
+            if config.sampling == "stratified_per_bit":
+                flat.sort()
+            draws.append(flat + bounds[first])
         first = last
     flat = np.concatenate(draws)
     block = np.searchsorted(bounds, flat, side="right") - 1

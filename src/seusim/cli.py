@@ -133,6 +133,9 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
                 h, w, seed = (camp._json_value(s[k], int) for k in ("height", "width", "seed"))
             except TypeError as e:
                 raise ValueError(f"synthetic input spec {spec['synthetic']!r}: {e}") from None
+            for name, value, least in (("height", h, 1), ("width", w, 1), ("seed", seed, 0)):
+                if value < least:
+                    raise ValueError(f"synthetic input spec field {name!r}: must be >= {least}, got {value}")
             inputs.append(zoo.synthetic_input(graph, h, w, seed=seed))
         else:
             raise ValueError(f"unrecognized input spec: {spec!r}")
@@ -240,18 +243,46 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _prediction_field(d: dict, name: str, expected: str, ok, prefix: str = ""):
+    """`d[name]` if `ok` accepts it; otherwise a ValueError naming the field."""
+    value = d.get(name)
+    if not ok(value):
+        raise ValueError(f"prediction field {prefix + name!r}: expected {expected}, got {value!r}")
+    return value
+
+
+def _prediction_profile(report: dict) -> errormodel.SaturationProfile:
+    prof = _prediction_field(report, "profile", "an object", lambda v: isinstance(v, dict))
+    field = lambda name, expected, ok: _prediction_field(prof, name, expected, ok, "profile.")
+    return errormodel.SaturationProfile(
+        k_sat=field("k_sat", "an integer", _is_int),
+        bit_range=tuple(field("bit_range", "a list of two integers",
+                              lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))),
+        weighting=field("weighting", "a string", lambda v: isinstance(v, str)),
+    )
+
+
 def cmd_compare(args) -> int:
     started = time.time()
     cells = camp.read_matrix_csv(args.matrix)
     if not cells:
         raise ValueError("matrix file has no cells")
     report = _read_json_object(args.prediction)
+    expected_error = {
+        name: float(_prediction_field(report, name, "a number", lambda v: _is_int(v) or isinstance(v, float)))
+        for name in ("expected_msb_error", "expected_quantized_error") if name in report
+    }
+    prof = _prediction_profile(report) if "profile" in report else None
     layer = args.layer if args.layer is not None else max(lid for lid, _ in cells)
 
     comparisons = []
     msb_cell = cells.get((layer, 30))
-    if msb_cell is not None and "expected_msb_error" in report:
-        expected = float(report["expected_msb_error"])
+    if msb_cell is not None and "expected_msb_error" in expected_error:
+        expected = expected_error["expected_msb_error"]
         comparisons.append({
             "quantity": "exponent_msb_error",
             "layer": layer,
@@ -259,15 +290,10 @@ def cmd_compare(args) -> int:
             "measured": msb_cell.mean,
             "abs_deviation": abs(msb_cell.mean - expected),
         })
-    if "profile" in report and "expected_quantized_error" in report:
-        prof = errormodel.SaturationProfile(
-            k_sat=int(report["profile"]["k_sat"]),
-            bit_range=tuple(report["profile"]["bit_range"]),
-            weighting=report["profile"]["weighting"],
-        )
+    if prof is not None and "expected_quantized_error" in expected_error:
         bits = prof.bits().tolist()
         if all((layer, b) in cells for b in bits):
-            expected = float(report["expected_quantized_error"])
+            expected = expected_error["expected_quantized_error"]
             measured = errormodel.measured_weighted_rate([cells[layer, b].mean for b in bits], prof)
             comparisons.append({
                 "quantity": "weighted_quantized_error",

@@ -6,6 +6,12 @@ order is prune -> fold -> quantize; pruning and folding accept f32 models
 only.  Each transform derives its nodes and graph from the source with
 `dataclasses.replace`, so a derived node keeps every field its transform
 does not name.
+
+`sensitivity_sweep` scores each prune ratio without a whole forward pass:
+it runs the golden forward once per input and, per ratio, only the pruned
+layer's descendants in `apply_prune`'s graph, on the golden outputs of
+everything else and the golden layer output's kept channels.  The values
+are bit-equal to `evaluate_model` on the pruned model.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from .model import (
     LayerNode,
     ModelGraph,
     ParamKind,
+    _execute,
+    _logits,
+    descendants,
+    golden_trace,
     out_channels,
     predict_classes,
     run_model_trace,
@@ -27,6 +37,7 @@ from .model import (
 from .tensor import (
     QuantParams,
     Tensor,
+    argmax_classes,
     choose_affine_params,
     choose_symmetric_scale,
     quantize_bias,
@@ -69,6 +80,11 @@ def _filters_to_drop(ratio: float, n_filters: int) -> int:
     return k
 
 
+def kept_filters(weight: Tensor, ratio: float) -> np.ndarray:
+    """Ascending indices of the filters that pruning `weight` at `ratio` keeps."""
+    return np.sort(l1_filter_ranking(weight)[_filters_to_drop(ratio, weight.shape[0]) :])
+
+
 def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
     """Remove the lowest-L1 filters per conv layer and rewire consumers.
 
@@ -93,7 +109,7 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         params = {}
         if n.kind == "conv":
             w = n.params[ParamKind.ConvWeight]
-            keep = np.sort(l1_filter_ranking(w)[_filters_to_drop(plan.ratio(n.id), w.shape[0]) :])
+            keep = kept_filters(w, plan.ratio(n.id))
             params = {
                 ParamKind.ConvWeight: Tensor(w.data[keep][:, chans], "f32"),
                 ParamKind.ConvBias: Tensor(n.params[ParamKind.ConvBias].data[keep], "f32"),
@@ -120,24 +136,61 @@ class SensitivityCurve:
     giou_values: tuple[float, ...]
 
 
-def evaluate_model(model: ModelGraph, inputs, labels) -> tuple[float, float]:
-    """(GIoU, WIoU) pooled over an evaluation set."""
+def _check_eval_set(inputs, labels) -> None:
     if len(inputs) != len(labels) or not inputs:
         raise ValueError("need matching, non-empty inputs and labels")
+
+
+def evaluate_model(model: ModelGraph, inputs, labels) -> tuple[float, float]:
+    """(GIoU, WIoU) pooled over an evaluation set."""
+    _check_eval_set(inputs, labels)
     cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
     for x, y in zip(inputs, labels):
         cm += confusion_matrix(y, predict_classes(model, x), model.n_classes)
     return giou_wiou_from_confusion(cm)
 
 
+def _golden_reads(model: ModelGraph, x: Tensor, reads: set[int]):
+    """`model`'s class map on `x` and the golden outputs of the nodes in
+    `reads`; the rest of the trace is dropped on return."""
+    golden = golden_trace(model, x)
+    return golden.classes, {i: golden.produced[i] for i in reads}
+
+
 def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> SensitivityCurve:
-    """GIoU at prune ratios 0.0..0.9 with only `layer_id` pruned."""
+    """GIoU at prune ratios 0.0..0.9 with only `layer_id` pruned.
+
+    Each value equals `evaluate_model(apply_prune(model, PruningPlan({layer_id:
+    r})), inputs, labels)[0]`, with `model` itself at ratio 0, but only the
+    layer's descendants are recomputed.  The golden forward runs once per
+    input and scores ratio 0.  In a pruned graph every node outside the
+    layer's cone keeps its parameters, so its output is the golden one, and
+    the layer's own output is the golden output's kept channels: a
+    channel's sums do not depend on the other filters.
+    """
     if layer_id == model.nodes[-1].id:
         raise ValueError("the final classifier layer is excluded from pruning")
-    values = []
-    for r in PRUNE_RATIOS:
-        pruned = apply_prune(model, PruningPlan({layer_id: r})) if r else model
-        values.append(evaluate_model(pruned, inputs, labels)[0])
+    _check_eval_set(inputs, labels)
+    last = model.nodes[-1].id
+    cone = descendants(model, layer_id)
+    # what the cone reads from outside itself, and the output if it lies outside
+    reads = ({layer_id, last} | {i for n in cone for i in n.inputs}) - {n.id for n in cone}
+    giou = lambda class_maps: giou_wiou_from_confusion(
+        sum(confusion_matrix(y, c, model.n_classes) for y, c in zip(labels, class_maps)))[0]
+
+    goldens = [_golden_reads(model, x, reads) for x in inputs]
+    values = [giou([classes for classes, _ in goldens])]
+    for r in PRUNE_RATIOS[1:]:
+        pruned = apply_prune(model, PruningPlan({layer_id: r}))
+        keep = kept_filters(model.node(layer_id).params[ParamKind.ConvWeight], r)
+        pruned_cone = [pruned.nodes[n.id] for n in cone]
+        class_maps = []
+        for _, golden in goldens:
+            base = golden[layer_id]
+            produced = {**golden, layer_id: Tensor(base.data[:, keep], base.dtype, base.quant)}
+            out = _execute(pruned_cone, None, produced)[last]  # no cone node reads the model input
+            class_maps.append(argmax_classes(_logits(out)))
+        values.append(giou(class_maps))
     return SensitivityCurve(layer_id, PRUNE_RATIOS, tuple(values))
 
 

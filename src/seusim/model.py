@@ -311,6 +311,18 @@ def _one_channel(n: LayerNode, fault: ChannelFault, golden: GoldenTrace) -> Tens
     return _KERNELS[n.kind](replace(n, params=params), [src])
 
 
+def descendants(graph: ModelGraph, layer_id: int) -> list[LayerNode]:
+    """The nodes that read `layer_id`'s output, directly or through one
+    another, in graph order: all that a change to that output can reach."""
+    dirty = {layer_id}
+    cone = []
+    for n in graph.nodes[layer_id + 1 :]:
+        if dirty.intersection(n.inputs):
+            dirty.add(n.id)
+            cone.append(n)
+    return cone
+
+
 def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> Tensor:
     """Logits [n_classes, H, W] of `graph` with `fault` (from
     `seusim.inject.channel_fault`) applied; `graph` itself is only read.
@@ -327,13 +339,7 @@ def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) 
     spliced[:, fault.channel] = _one_channel(graph.node(layer_id), fault, golden).data[:, 0]
     produced = dict(golden.produced)
     produced[layer_id] = Tensor(spliced, base.dtype, base.quant)
-    dirty = {layer_id}
-    cone = []
-    for n in graph.nodes[layer_id + 1 :]:
-        if dirty.intersection(n.inputs):
-            dirty.add(n.id)
-            cone.append(n)
-    return _logits(_execute(cone, golden.x, produced)[graph.nodes[-1].id])
+    return _logits(_execute(descendants(graph, layer_id), golden.x, produced)[graph.nodes[-1].id])
 
 
 def faulted_classes(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> np.ndarray:

@@ -105,6 +105,10 @@ class TestPlanRun:
         ({"inputs": [{"synthetic": {"height": 8.9, "width": 8}}]}, "8.9"),
         ({"inputs": [{"synthetic": {"height": 8, "width": 8, "seed": True}}]}, "True"),
         ([{"seed": 1}], "c.json"),
+        ({"inputs": [{"synthetic": {"height": 8, "width": 8, "seed": -2}}]}, "field 'seed'"),
+        ({"inputs": [{"synthetic": {"height": -8, "width": 8}}]}, "field 'height'"),
+        ({"inputs": [{"synthetic": {"height": 0, "width": 8}}]}, "field 'height'"),
+        ({"inputs": [{"synthetic": {"height": 8, "width": 0}}]}, "field 'width'"),
     ])
     def test_config_errors_exit_2_on_plan_and_run(self, tmp_path, model_file, capsys, config, named):
         cfg = tmp_path / "c.json"
@@ -288,6 +292,28 @@ class TestPredictCompare:
         assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
                        "--out", tmp_path / "cmp.json") == 2
         assert "p.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"profile": []}, "'profile'"),
+        ({"profile": {"k_sat": 19, "weighting": "saturated_only"}}, "'profile.bit_range'"),
+        ({"profile": {"k_sat": 19, "bit_range": [0, 30, 1], "weighting": "saturated_only"}},
+         "'profile.bit_range'"),
+        ({"profile": {"k_sat": 19.0, "bit_range": [0, 30], "weighting": "saturated_only"}}, "'profile.k_sat'"),
+        ({"profile": {"k_sat": 19, "bit_range": [0, 30], "weighting": 1}}, "'profile.weighting'"),
+        ({"expected_msb_error": "x"}, "'expected_msb_error'"),
+        ({"expected_quantized_error": True}, "'expected_quantized_error'"),
+    ])
+    def test_malformed_prediction_field_is_data_error(self, tmp_path, capsys, change, named):
+        pred = tmp_path / "p.json"
+        run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27",
+                "--signs", "n,p,n,p,n,p", "--out", pred)
+        pred.write_text(json.dumps({**json.loads(pred.read_text()), **change}))
+        matrix = tmp_path / "matrix.csv"
+        self._write_matrix(matrix, [(2, b, 6, 0.34, 0.3, 0.4, 0.83) for b in range(31)])
+        capsys.readouterr()
+        assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
+                       "--out", tmp_path / "cmp.json") == 2
+        assert f"prediction field {named}" in capsys.readouterr().err
 
     def test_compare_empty_overlap_is_error(self, tmp_path):
         pred = tmp_path / "p.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seusim.compress import (
     PruningPlan,
@@ -26,7 +28,7 @@ from seusim.model import (
     validate_model,
 )
 from seusim.modelio import serialize_model
-from seusim.tensor import Tensor, dequantize
+from seusim.tensor import ACTIVATION_KINDS, Tensor, dequantize
 
 
 def t32(values):
@@ -187,6 +189,44 @@ class TestSensitivitySweep:
         # floor(ratio * 4) removes nothing below 0.3, then drops the signal filter
         assert curve.giou_values[0] == curve.giou_values[1] == curve.giou_values[2] == 100.0
         assert curve.giou_values[3] < 50.0
+
+
+class TestSensitivitySweepDifferential:
+    """The sweep reuses the golden forward; every point must still equal a
+    full forward of the pruned model."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 6), st.sampled_from(ACTIVATION_KINDS),
+           st.integers(0, 2 ** 16), st.integers(1, 2))
+    def test_curve_equals_prune_then_evaluate(self, depth, base, act, seed, n_inputs):
+        g = build_unet(depth, base, 3, 5, act, seed=seed)
+        other = build_unet(depth, base, 3, 5, act, seed=seed + 1)  # labels the curves move on
+        inputs = [synthetic_input(g, 16, 16, seed=seed + i) for i in range(n_inputs)]
+        labels = [predict_classes(other, x) for x in inputs]
+        for n in g.nodes[:-1]:
+            if n.kind != "conv":
+                continue
+            curve = sensitivity_sweep(g, inputs, labels, n.id)
+            expected = tuple(
+                evaluate_model(apply_prune(g, PruningPlan({n.id: r})) if r else g, inputs, labels)[0]
+                for r in curve.ratios)
+            assert curve.giou_values == expected
+
+    @pytest.mark.parametrize("n_inputs, n_labels", [(1, 2), (2, 1), (0, 0)])
+    def test_mismatched_inputs_raise_before_any_forward(self, monkeypatch, n_inputs, n_labels):
+        import seusim.compress
+        import seusim.model
+
+        def no_forward(*args):
+            raise AssertionError("forward pass ran")
+
+        monkeypatch.setattr(seusim.model, "_execute", no_forward)
+        monkeypatch.setattr(seusim.compress, "_execute", no_forward)
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        x = synthetic_input(g, 16, 16, seed=1)
+        labels = np.zeros((16, 16), dtype=np.int64)
+        with pytest.raises(ValueError, match="need matching, non-empty inputs and labels"):
+            sensitivity_sweep(g, [x] * n_inputs, [labels] * n_labels, 0)
 
 
 class TestStoppingCheck:
