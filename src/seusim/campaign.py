@@ -44,7 +44,8 @@ from functools import partial
 
 import numpy as np
 
-# apply_fault and revert are unused here, but perfbench/trace.py rebinds them on this module
+# apply_fault, revert and model_digest are unused here, but perfbench/trace.py
+# rebinds them on this module
 from .inject import FaultLocation, apply_fault, channel_fault, revert  # noqa: F401
 from .model import (
     DEFAULT_CAMPAIGN_KINDS,
@@ -56,7 +57,7 @@ from .model import (
     golden_trace,
     predict_classes,
 )
-from .modelio import model_digest, tensor_digest
+from .modelio import model_digest  # noqa: F401
 from .tensor import Tensor
 
 DEFAULT_E = 0.025
@@ -206,20 +207,14 @@ def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
 # golden reference
 # ---------------------------------------------------------------------------
 
-_GOLDEN_CACHE: dict[tuple[str, str], np.ndarray] = {}
-
-
 def golden_run(model: ModelGraph, x: Tensor) -> np.ndarray:
-    """Fault-free class map, cached by (model digest, input digest)."""
-    key = (model_digest(model), tensor_digest(x))
-    hit = _GOLDEN_CACHE.get(key)
-    if hit is None:
-        hit = _GOLDEN_CACHE[key] = predict_classes(model, x)
-    return hit.copy()
+    """Fault-free class map, computed afresh on every call."""
+    return predict_classes(model, x)
 
 
 def clear_golden_cache() -> None:
-    _GOLDEN_CACHE.clear()
+    """Does nothing: golden maps are not cached.  Kept because
+    perfbench/workloads.py calls it before every campaign."""
 
 
 def pixel_mismatch_rate(golden: np.ndarray, faulty: np.ndarray) -> float:
@@ -445,6 +440,6 @@ def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig
                 kw[name] = tuple(_json_value(v, int) for v in value)
             else:
                 kw[name] = _json_value(value, type(defaults[name]))
-        except TypeError as e:
+        except (TypeError, ValueError) as e:  # ValueError: an unknown ParamKind
             raise ValueError(f"campaign config field {name!r}: {e}") from None
     return CampaignConfig(**kw, inputs=inputs)

@@ -128,15 +128,23 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
         elif isinstance(spec, dict) and "path" in spec:
             inputs.append(_load_input_tensor(spec["path"]))
         elif isinstance(spec, dict) and "synthetic" in spec:
-            try:
-                s = {"seed": 0, **spec["synthetic"]}
-                h, w, seed = (camp._json_value(s[k], int) for k in ("height", "width", "seed"))
-            except TypeError as e:
-                raise ValueError(f"synthetic input spec {spec['synthetic']!r}: {e}") from None
-            for name, value, least in (("height", h, 1), ("width", w, 1), ("seed", seed, 0)):
-                if value < least:
-                    raise ValueError(f"synthetic input spec field {name!r}: must be >= {least}, got {value}")
-            inputs.append(zoo.synthetic_input(graph, h, w, seed=seed))
+            s = spec["synthetic"]
+            if not isinstance(s, dict):
+                raise ValueError(f"synthetic input spec {s!r}: expected a JSON object")
+            s, size = {"seed": 0, **s}, {}
+            for name, least in (("height", 1), ("width", 1), ("seed", 0)):
+                field = f"synthetic input spec field {name!r}"
+                if name not in s:
+                    raise ValueError(f"{field}: missing")
+                try:
+                    size[name] = camp._json_value(s.pop(name), int)
+                except TypeError as e:
+                    raise ValueError(f"{field}: {e}") from None
+                if size[name] < least:
+                    raise ValueError(f"{field}: must be >= {least}, got {size[name]}")
+            if s:
+                raise ValueError(f"synthetic input spec field {min(s)!r}: unknown, expected height, width or seed")
+            inputs.append(zoo.synthetic_input(graph, **size))
         else:
             raise ValueError(f"unrecognized input spec: {spec!r}")
     return tuple(inputs)
@@ -219,6 +227,9 @@ def cmd_predict(args) -> int:
         freqs = np.asarray(args.freqs, dtype=np.float64)
         if freqs.max() > 1.0:
             freqs = freqs / 100.0  # accept percentages directly
+        if freqs.min() < 0 or abs(freqs.sum() - 1.0) > 1e-3:
+            raise ValueError(f"--freqs: expected non-negative class frequencies summing to 1 "
+                             f"(or 100 as percent), got {args.freqs}")
         if args.signs is not None:
             signs = _signs_from_text(args.signs)
         elif args.biases is not None:
@@ -231,7 +242,10 @@ def cmd_predict(args) -> int:
     profile = errormodel.SaturationProfile(
         k_sat=args.k_sat, bit_range=(args.bit_min, args.bit_max), weighting=args.weighting
     )
-    p_fi = np.asarray(args.p_fi, dtype=np.float64) if args.p_fi else None
+    try:
+        p_fi = errormodel._p_fi(args.p_fi or None, len(signs))
+    except ValueError as e:
+        raise ValueError(f"--p-fi: {e}") from None
     report = errormodel.prediction_report(freqs, signs, profile=profile, p_fi=p_fi)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
@@ -279,29 +293,20 @@ def cmd_compare(args) -> int:
     prof = _prediction_profile(report) if "profile" in report else None
     layer = args.layer if args.layer is not None else max(lid for lid, _ in cells)
 
+    def comparison(quantity: str, expected: float, measured: float) -> dict:
+        return {"quantity": quantity, "layer": layer, "expected": expected, "measured": measured,
+                "abs_deviation": abs(measured - expected)}
+
     comparisons = []
-    msb_cell = cells.get((layer, 30))
-    if msb_cell is not None and "expected_msb_error" in expected_error:
-        expected = expected_error["expected_msb_error"]
-        comparisons.append({
-            "quantity": "exponent_msb_error",
-            "layer": layer,
-            "expected": expected,
-            "measured": msb_cell.mean,
-            "abs_deviation": abs(msb_cell.mean - expected),
-        })
+    if (layer, 30) in cells and "expected_msb_error" in expected_error:
+        comparisons.append(comparison("exponent_msb_error", expected_error["expected_msb_error"],
+                                      cells[layer, 30].mean))
     if prof is not None and "expected_quantized_error" in expected_error:
         bits = prof.bits().tolist()
         if all((layer, b) in cells for b in bits):
-            expected = expected_error["expected_quantized_error"]
             measured = errormodel.measured_weighted_rate([cells[layer, b].mean for b in bits], prof)
-            comparisons.append({
-                "quantity": "weighted_quantized_error",
-                "layer": layer,
-                "expected": expected,
-                "measured": measured,
-                "abs_deviation": abs(measured - expected),
-            })
+            comparisons.append(comparison("weighted_quantized_error",
+                                          expected_error["expected_quantized_error"], measured))
     if not comparisons:
         raise ValueError(f"no overlap between matrix cells and prediction (layer {layer})")
 
@@ -329,6 +334,9 @@ def cmd_prune(args) -> int:
     try:
         if not isinstance(ratios, dict):
             raise TypeError(f"expected a JSON object, got {ratios!r}")
+        for k in ratios:
+            if not k.isdecimal():
+                raise TypeError(f"layer id {k!r} is not a non-negative integer")
         ratios = {int(k): camp._json_value(v, float) for k, v in ratios.items()}
     except TypeError as e:
         raise ValueError(f"{args.plan}: field 'ratios': {e}") from None

@@ -141,13 +141,18 @@ def _check_eval_set(inputs, labels) -> None:
         raise ValueError("need matching, non-empty inputs and labels")
 
 
+def _pooled_iou(labels, class_maps, n_classes: int) -> tuple[float, float]:
+    """(GIoU, WIoU) of the confusion matrices summed over (label, class map) pairs."""
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for y, classes in zip(labels, class_maps):
+        cm += confusion_matrix(y, classes, n_classes)
+    return giou_wiou_from_confusion(cm)
+
+
 def evaluate_model(model: ModelGraph, inputs, labels) -> tuple[float, float]:
     """(GIoU, WIoU) pooled over an evaluation set."""
     _check_eval_set(inputs, labels)
-    cm = np.zeros((model.n_classes, model.n_classes), dtype=np.int64)
-    for x, y in zip(inputs, labels):
-        cm += confusion_matrix(y, predict_classes(model, x), model.n_classes)
-    return giou_wiou_from_confusion(cm)
+    return _pooled_iou(labels, (predict_classes(model, x) for x in inputs), model.n_classes)
 
 
 def _golden_reads(model: ModelGraph, x: Tensor, reads: set[int]):
@@ -175,8 +180,7 @@ def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> Sensi
     cone = descendants(model, layer_id)
     # what the cone reads from outside itself, and the output if it lies outside
     reads = ({layer_id, last} | {i for n in cone for i in n.inputs}) - {n.id for n in cone}
-    giou = lambda class_maps: giou_wiou_from_confusion(
-        sum(confusion_matrix(y, c, model.n_classes) for y, c in zip(labels, class_maps)))[0]
+    giou = lambda class_maps: _pooled_iou(labels, class_maps, model.n_classes)[0]
 
     goldens = [_golden_reads(model, x, reads) for x in inputs]
     values = [giou([classes for classes, _ in goldens])]

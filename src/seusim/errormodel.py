@@ -50,10 +50,10 @@ def _check(freqs, signs) -> np.ndarray:
 
 def bias_flip_contribution(freqs, signs, j: int) -> float:
     """Error caused by an exponent-MSB flip in the bias of class j."""
-    freqs = _check(freqs, signs)
-    if not 0 <= j < freqs.size:
+    c = contributions(freqs, signs)
+    if not 0 <= j < c.size:
         raise ValueError(f"class {j} out of range")
-    return float(freqs[j]) if signs[j] == NEGATIVE else float(1.0 - freqs[j])
+    return float(c[j])
 
 
 def contributions(freqs, signs) -> np.ndarray:
@@ -68,6 +68,8 @@ def _p_fi(p_fi, n: int) -> np.ndarray:
     p = np.asarray(p_fi, dtype=np.float64)
     if p.size != n:
         raise ValueError("p_fi length mismatch")
+    if (p < 0).any():
+        raise ValueError("p_fi entries must be non-negative")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("p_fi must sum to 1")
     return p
@@ -133,17 +135,12 @@ def expected_quantized_bias_error(freqs, signs, profile: SaturationProfile, p_fi
 
 
 def measured_weighted_rate(per_bit_rates, profile: SaturationProfile) -> float:
-    """Collapse per-bit measured rates into one profile-weighted rate."""
+    """Collapse per-bit measured rates, one per bit of the profile's range
+    in ascending order, into one profile-weighted rate."""
     bits = profile.bits()
-    if isinstance(per_bit_rates, dict):
-        missing = [int(b) for b in bits if int(b) not in per_bit_rates]
-        if missing:
-            raise ValueError(f"missing rates for bits {missing}")
-        rates = np.asarray([per_bit_rates[int(b)] for b in bits], dtype=np.float64)
-    else:
-        rates = np.asarray(per_bit_rates, dtype=np.float64)
-        if rates.size != bits.size:
-            raise ValueError(f"expected {bits.size} rates for bit range {profile.bit_range}")
+    rates = np.asarray(per_bit_rates, dtype=np.float64)
+    if rates.size != bits.size:
+        raise ValueError(f"expected {bits.size} rates for bit range {profile.bit_range}")
     w = profile.weights()
     total = w.sum()
     if total == 0:
@@ -157,9 +154,10 @@ def prediction_report(
     profile: SaturationProfile | None = None,
     p_fi=None,
     measured_msb: float | None = None,
-    measured_weighted: float | None = None,
 ) -> dict:
-    """JSON-ready report of expected values and optional measured deviations."""
+    """JSON-ready report of expected values and, given a measured
+    exponent-MSB rate, its deviation.  `seusim compare` checks a matrix
+    against both expected values."""
     freqs = _check(freqs, signs)
     c = contributions(freqs, signs)
     expected_msb = expected_error_from_contributions(c, p_fi)
@@ -180,9 +178,4 @@ def prediction_report(
     if measured_msb is not None:
         report["measured_msb_error"] = float(measured_msb)
         report["msb_abs_deviation"] = abs(float(measured_msb) - expected_msb)
-    if measured_weighted is not None and profile is not None:
-        report["measured_weighted_error"] = float(measured_weighted)
-        report["weighted_abs_deviation"] = abs(
-            float(measured_weighted) - report["expected_quantized_error"]
-        )
     return report

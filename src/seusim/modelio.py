@@ -192,9 +192,3 @@ def model_digest(graph: ModelGraph) -> str:
     """SHA-256 of the canonical serialization."""
     return hashlib.sha256(serialize_model(graph)).hexdigest()
 
-
-def tensor_digest(t: Tensor) -> str:
-    h = hashlib.sha256()
-    h.update(repr((t.dtype, t.shape, t.quant)).encode())
-    h.update(np.ascontiguousarray(t.data, dtype=_NP_LE[t.dtype]).tobytes())
-    return h.hexdigest()

@@ -109,6 +109,10 @@ class TestPlanRun:
         ({"inputs": [{"synthetic": {"height": -8, "width": 8}}]}, "field 'height'"),
         ({"inputs": [{"synthetic": {"height": 0, "width": 8}}]}, "field 'height'"),
         ({"inputs": [{"synthetic": {"height": 8, "width": 0}}]}, "field 'width'"),
+        ({"inputs": [{"synthetic": {"width": 8}}]}, "field 'height': missing"),
+        ({"inputs": [{"synthetic": {"height": 8}}]}, "field 'width': missing"),
+        ({"inputs": [{"synthetic": {"height": 8, "width": 8, "sead": 3}}]}, "field 'sead': unknown"),
+        ({"inputs": [{"synthetic": 8}]}, "synthetic input spec 8"),
     ])
     def test_config_errors_exit_2_on_plan_and_run(self, tmp_path, model_file, capsys, config, named):
         cfg = tmp_path / "c.json"
@@ -238,6 +242,16 @@ class TestPredictCompare:
     def test_predict_without_inputs_is_error(self, tmp_path):
         assert run_cli("predict", "--out", tmp_path / "p.json") == 2
 
+    @pytest.mark.parametrize("args, option", [
+        (["--freqs", "10,20"], "--freqs"),  # percent summing to 30
+        (["--freqs=-0.5,1.5"], "--freqs"),
+        (["--freqs", "0.3,0.7", "--p-fi=-0.5,1.5"], "--p-fi"),
+    ])
+    def test_predict_takes_probabilities_only(self, tmp_path, capsys, args, option):
+        out = tmp_path / "p.json"
+        assert run_cli("predict", *args, "--signs", "n,p", "--out", out) == 2
+        assert option in capsys.readouterr().err and not out.exists()
+
     def _write_matrix(self, path, rows):
         lines = ["layer_id,bit,count,mean,std,mean_nonzero,max"]
         lines += [f"{l},{b},{c},{m},{s},{mn},{mx}" for (l, b, c, m, s, mn, mx) in rows]
@@ -347,6 +361,8 @@ class TestPruneQuantize:
         ({"ratios": [1]}, "'ratios'"),
         ({"ratios": {"0": "0.5"}}, "'ratios'"),
         ({"ratios": {"0": True}}, "'ratios'"),
+        ({"ratios": {"x": 0.5}}, "plan.json: field 'ratios': layer id 'x'"),
+        ({"ratios": {"1.0": 0.5}}, "plan.json: field 'ratios': layer id '1.0'"),
     ])
     def test_malformed_prune_plan_is_data_error(self, tmp_path, model_file, capsys, content, named):
         plan = tmp_path / "plan.json"

@@ -123,6 +123,10 @@ class TestExpectedError:
         with pytest.raises(ValueError):
             expected_bias_msb_error(RELU_FREQS, bias_signs(RELU_BIASES), p_fi=[1, 1, 1, 1, 1, 1])
 
+    def test_p_fi_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            expected_bias_msb_error(RELU_FREQS, bias_signs(RELU_BIASES), p_fi=[-0.5, 1.5, 0, 0, 0, 0])
+
 
 class TestSaturationProfile:
     def test_saturated_only_equals_msb_expectation(self):
@@ -184,11 +188,6 @@ class TestMeasuredWeightedRate:
         w = np.asarray([0.0, 0.5, 1.0, 1.0])
         expect = float(np.dot(w, rates) / w.sum())
         assert measured_weighted_rate(rates, prof) == pytest.approx(expect, abs=1e-12)
-
-    def test_dict_input_with_missing_bits(self):
-        prof = SaturationProfile(k_sat=2, bit_range=(0, 3))
-        with pytest.raises(ValueError, match="missing"):
-            measured_weighted_rate({0: 0.1, 1: 0.2}, prof)
 
     def test_wrong_length_rejected(self):
         prof = SaturationProfile(k_sat=2, bit_range=(0, 3))
