@@ -227,7 +227,7 @@ def cmd_predict(args) -> int:
         freqs = np.asarray(args.freqs, dtype=np.float64)
         if freqs.max() > 1.0:
             freqs = freqs / 100.0  # accept percentages directly
-        if freqs.min() < 0 or abs(freqs.sum() - 1.0) > 1e-3:
+        if freqs.min() < 0 or abs(freqs.sum() - 1.0) > errormodel.SUM_TOLERANCE:
             raise ValueError(f"--freqs: expected non-negative class frequencies summing to 1 "
                              f"(or 100 as percent), got {args.freqs}")
         if args.signs is not None:

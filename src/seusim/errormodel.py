@@ -23,6 +23,10 @@ import numpy as np
 NEGATIVE = "negative"
 POSITIVE = "positive"
 
+# how far class frequencies or flip probabilities may sum from 1: values
+# rounded to four digits, as typed on a command line, miss 1 by ~1e-4
+SUM_TOLERANCE = 1e-3
+
 
 def class_frequencies(golden: np.ndarray, n_classes: int) -> np.ndarray:
     """Normalized histogram of a golden class map."""
@@ -70,7 +74,7 @@ def _p_fi(p_fi, n: int) -> np.ndarray:
         raise ValueError("p_fi length mismatch")
     if (p < 0).any():
         raise ValueError("p_fi entries must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if abs(p.sum() - 1.0) > SUM_TOLERANCE:
         raise ValueError("p_fi must sum to 1")
     return p
 

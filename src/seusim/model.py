@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errormodel import SUM_TOLERANCE
 from .tensor import (
     ACTIVATION_KINDS,
     QuantParams,
@@ -573,7 +574,7 @@ def build_bias_probe_model(
         raise ValueError("bias_values and class_freqs must be equal-length vectors")
     if np.any(freqs < 0):
         raise ValueError("infeasible frequencies: negative entries")
-    if abs(freqs.sum() - 1.0) > 1e-3:
+    if abs(freqs.sum() - 1.0) > SUM_TOLERANCE:
         raise ValueError(f"frequencies must sum to 1, got {freqs.sum()}")
     freqs = freqs / freqs.sum()  # absorb printed-rounding residue
     n = freqs.size

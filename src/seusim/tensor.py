@@ -2,19 +2,26 @@
 
 Two execution paths share one API: a float32 path that never masks
 non-finite values (NaN/Inf produced by corrupted parameters must reach
-the output), and an int8 path with int32 accumulation and saturating
-requantization.  All kernels are pure functions and avoid BLAS so that
-results are bit-for-bit reproducible regardless of thread count.
+the output), and an int8 path with exact integer sums and saturating
+requantization.  All kernels are pure functions whose results are
+bit-for-bit reproducible regardless of thread count.
 
-Both conv paths share one blocked im2col kernel: the input windows of a
-block of output rows are unfolded into a contiguous [c*kh*kw, positions]
-matrix of at most about 2**16 elements (512 KB of float64 scratch per
-call, so per worker thread), which the two-operand
+The float conv avoids order-sensitive BLAS.  It is blocked im2col: the
+input windows of a block of output rows are unfolded into a contiguous
+[c*kh*kw, positions] matrix of at most about 2**16 elements (512 KB of
+float64 scratch per call, so per worker thread), which the two-operand
 ``np.einsum("ok,kp->op", ...)`` reduces.  Called without ``optimize=``,
 einsum runs numpy's own C loops: no BLAS and no threads.  Every output is
-accumulated from 0 over (c, i, j) in row-major order, in float64 on the
-float path and int32 on the integer path, and the bias is added last; the
-float path then rounds once to float32.
+accumulated in float64 from 0 over (c, i, j) in row-major order, the bias
+is added last, and the sum is rounded once to float32.
+
+The int8 conv runs one float64 GEMM per kernel tap over a shifted view of
+the padded input (kn2row), with no im2col copy.  Its sums are integers far
+below 2**53, exact in any order, so BLAS may reorder them freely; each
+BLAS call does at most 2**18 multiply-adds, which OpenBLAS runs on the
+calling thread.  The int32 bias is added in int32, then the sums are
+requantized.  Requantizing int8 codes, in a concat or an activation, is a
+gather through a 256-entry table.
 """
 
 from __future__ import annotations
@@ -146,9 +153,16 @@ def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
     return ((np.asarray(codes, dtype=np.float64) - qp.zero_point) * qp.scale).astype(np.float32)
 
 
-def requantize_codes(codes: np.ndarray, src: QuantParams, dst: QuantParams) -> np.ndarray:
-    """Re-express int8 codes under new affine parameters (round even, saturate)."""
-    return quantize_affine((codes.astype(np.float64) - src.zero_point) * src.scale, dst)
+def requantize_lut(src: QuantParams, dst: QuantParams) -> np.ndarray:
+    """Every int8 code re-expressed under new affine parameters (round
+    even, saturate), indexed by code + 128."""
+    return quantize_affine((np.arange(QMIN, QMAX + 1, dtype=np.float64) - src.zero_point) * src.scale, dst)
+
+
+def lookup_codes(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """`lut[codes + 128]` for int8 `codes`.  Flipping the top bit of a
+    code's uint8 view adds 128 mod 256, so the index never widens."""
+    return np.take(lut, codes.view(np.uint8) ^ np.uint8(0x80))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +172,14 @@ def requantize_codes(codes: np.ndarray, src: QuantParams, dst: QuantParams) -> n
 # im2col scratch per block, in elements: 2**16 float64 values is 512 KB
 _IM2COL_BLOCK = 1 << 16
 
+# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM or
+# GEMV of this size on the calling thread, so no BLAS helper thread spins
+# beside a campaign's own workers.
+_GEMM_MACS = 1 << 18
 
-def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int, acc_dtype):
-    """Convolution sums of NCHW `x` with `w`, plus `b`, in `acc_dtype`.
+
+def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
+    """Float convolution sums of NCHW f32 `x` with `w`, plus `b`, in float64.
 
     Each output is 0 + sum of x*w over (c, i, j) in row-major order, then
     + b.  Zero padding is applied to `x` as given.
@@ -179,10 +198,10 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, p
     win = np.lib.stride_tricks.as_strided(
         x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
     )
-    w2d = w.reshape(oc, k).astype(acc_dtype)
-    out = np.empty((n, oc, oh * ow), dtype=acc_dtype)
+    w2d = w.reshape(oc, k).astype(np.float64)
+    out = np.empty((n, oc, oh * ow))
     rows = max(1, _IM2COL_BLOCK // (k * ow))
-    scratch = np.empty(k * min(rows, oh) * ow, dtype=acc_dtype)
+    scratch = np.empty(k * min(rows, oh) * ow)
     for ni in range(n):
         for r0 in range(0, oh, rows):
             r1 = min(r0 + rows, oh)
@@ -201,6 +220,57 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, p
     return out.reshape(n, oc, oh, ow)
 
 
+def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
+    """Integer convolution sums of int8 NCHW codes `x` less `zero_point`
+    with int8 `w`, as int32, plus int32 `b` in int32 arithmetic, so a large
+    (faulted) bias wraps around.  Zero padding follows the subtraction.
+
+    One float64 GEMM per kernel tap (i, j) over a shifted view of the padded
+    input, its spatial axes flattened (kn2row; Vasudevan, Anderson & Gregg,
+    ASAP 2017): output (r, q) is column r*pw + q, and tap (i, j) reads the
+    input at stride*(r*pw + q) + i*pw + j.  At stride 1 that tap operand is
+    a contiguous slice, so nothing is copied (a strided one is copied by
+    numpy before BLAS); the pw - ow columns past each output row's end are
+    dropped.  Columns go in blocks of at most _GEMM_MACS multiply-adds per
+    call.
+
+    Exact in any summation order: |x - zp| <= 255 and |w| <= 128, so every
+    product and partial sum is an integer below 2**53, and BLAS may block
+    and vectorise as it likes.  The sums fit in int32 while
+    255 * 128 * c*kh*kw < 2**31, that is for c*kh*kw <= 65793.
+    """
+    n, c, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    ph, pw = h + 2 * padding, wd + 2 * padding
+    if ph < kh or pw < kw:
+        raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
+    oh = (ph - kh) // stride + 1
+    ow = (pw - kw) // stride + 1
+    xp = np.zeros((n, c, ph, pw))
+    np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=np.float64)
+    flat = xp.reshape(n, c, ph * pw)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=np.float64).reshape(kh * kw, oc, c)
+    offsets = [i * pw + j for i in range(kh) for j in range(kw)]
+    span = (oh - 1) * pw + ow  # columns up to the last output
+    step = min(max(1, _GEMM_MACS // (oc * c)), span)
+    # a contiguous accumulator per column block: adding into a strided
+    # slice of the whole output is several times slower
+    acc, part = np.empty((oc, step)), np.empty((oc, step))
+    out = np.empty((n, oc, oh * pw), dtype=np.int32)
+    for ni in range(n):
+        for p0 in range(0, span, step):
+            p1 = min(p0 + step, span)
+            dst, tmp = acc[:, : p1 - p0], part[:, : p1 - p0]
+            for t, off in enumerate(offsets):
+                src = flat[ni, :, off + stride * p0 : off + stride * (p1 - 1) + 1 : stride]
+                np.matmul(taps[t], src, out=tmp if t else dst)
+                if t:
+                    dst += tmp
+            out[ni, :, p0:p1] = dst
+    out += b[None, :, None]
+    return out.reshape(n, oc, oh, pw)[..., :ow]
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -212,9 +282,9 @@ def conv2d(
     """2-D convolution over NCHW input.
 
     Float path: f32 in, f32 out, accumulated in f64 and rounded once.
-    Integer path: i8 input/weights with i32 bias; accumulates in int32,
-    then requantizes to `out_quant` with round-to-nearest-even and
-    saturation to [-128, 127].
+    Integer path: i8 input/weights with i32 bias; exact integer sums plus
+    the bias in int32 (`_conv_int`), then requantized to `out_quant` with
+    round-to-nearest-even and saturation to [-128, 127].
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-D NCHW, got {x.shape}")
@@ -231,7 +301,7 @@ def conv2d(
             raise ValueError("f32 conv requires f32 weight and bias")
         with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
             # products of f32 values are exact in f64; only the ordered f64 sums and the cast round
-            out = _conv_accumulate(x.data, weight.data, bias.data, stride, padding, np.float64)
+            out = _conv_accumulate(x.data, weight.data, bias.data, stride, padding)
             out = out.astype(np.float32)  # f64 values beyond f32 range become Inf here
         return Tensor(out, "f32")
 
@@ -241,9 +311,7 @@ def conv2d(
         if out_quant is None:
             raise ValueError("integer conv requires out_quant")
         # subtracting the zero point first makes zero padding represent real 0
-        acc = _conv_accumulate(
-            x.data.astype(np.int32) - x.quant.zero_point, weight.data, bias.data, stride, padding, np.int32
-        )
+        acc = _conv_int(x.data, x.quant.zero_point, weight.data, bias.data, stride, padding)
         m = (x.quant.scale * weight.quant.scale) / out_quant.scale
         q = np.round(acc.astype(np.float64) * m) + out_quant.zero_point
         out = np.clip(q, QMIN, QMAX).astype(np.int8)
@@ -317,8 +385,7 @@ def activation(x: Tensor, kind: str, out_quant: QuantParams | None = None) -> Te
     if x.dtype == "i8":
         if out_quant is None:
             out_quant = _default_act_out_quant(kind, x.quant)
-        lut = activation_lut(kind, x.quant, out_quant)
-        return Tensor(lut[x.data.astype(np.int32) + 128], "i8", out_quant)
+        return Tensor(lookup_codes(activation_lut(kind, x.quant, out_quant), x.data), "i8", out_quant)
     raise ValueError(f"activation not defined for dtype {x.dtype}")
 
 
@@ -345,8 +412,8 @@ def concat_channels(a: Tensor, b: Tensor, out_quant: QuantParams | None = None) 
         raise ValueError(f"spatial shape mismatch: {a.shape} vs {b.shape}")
     if a.dtype == "i8":
         target = out_quant if out_quant is not None else a.quant
-        da = a.data if a.quant == target else requantize_codes(a.data, a.quant, target)
-        db = b.data if b.quant == target else requantize_codes(b.data, b.quant, target)
+        da = a.data if a.quant == target else lookup_codes(requantize_lut(a.quant, target), a.data)
+        db = b.data if b.quant == target else lookup_codes(requantize_lut(b.quant, target), b.data)
         return Tensor(np.concatenate([da, db], axis=1), "i8", target)
     return Tensor(np.concatenate([a.data, b.data], axis=1), a.dtype, a.quant)
 

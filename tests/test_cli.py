@@ -216,6 +216,13 @@ class TestPredictCompare:
         report = json.loads(out.read_text())
         assert report["expected_msb_error"] * 100 == pytest.approx(16.67, abs=0.01)
 
+    def test_rounded_p_fi_accepted(self, tmp_path):
+        # six uniform probabilities rounded to four digits sum to 1.0002
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
+                       "--p-fi", ",".join(["0.1667"] * 6), "--out", out) == 0
+        assert json.loads(out.read_text())["expected_msb_error"] * 100 == pytest.approx(37.29, abs=0.01)
+
     def test_biases_give_signs(self, tmp_path):
         out = tmp_path / "p.json"
         # values starting with a dash need the --flag=value form

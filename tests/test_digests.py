@@ -14,6 +14,10 @@ and only its quantize step (calibration runs the sigmoid) depends on
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,19 @@ def records_digest(name, path):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_records_digest_pinned(name, tmp_path):
     assert records_digest(name, tmp_path / "records.csv") == CORPUS[name][1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_int8_digest_independent_of_blas_threads(threads, tmp_path):
+    # the int8 conv runs on BLAS; a fresh process reads the thread count at start-up
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    code = ("from pathlib import Path; from tests.test_digests import records_digest; "
+            f"print(records_digest('int8', Path({str(tmp_path / 'r.csv')!r})))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert done.stdout.strip() == CORPUS["int8"][1]
 
 
 def _readme_unets():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from seusim.tensor import (
+    _GEMM_MACS,
     _IM2COL_BLOCK,
+    _conv_int,
     QuantParams,
     Tensor,
     activation,
@@ -75,6 +77,41 @@ def conv2d_f32_oracle(x, w, b, stride, padding):
         return acc.astype(np.float32)
 
 
+def conv2d_int_oracle(x, zero_point, w, b, stride, padding):
+    """Integer conv sums in int64, looping over (c, i, j), vectorised over
+    filters and output pixels; the bias add then wraps as int32 does."""
+    n, cin, h, wd = x.shape
+    oc, _, kh, kw = w.shape
+    xp = np.zeros((n, cin, h + 2 * padding, wd + 2 * padding), dtype=np.int64)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x.astype(np.int64) - zero_point
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    acc = np.zeros((n, oc, oh, ow), dtype=np.int64)
+    for c in range(cin):
+        for u in range(kh):
+            for v in range(kw):
+                win = xp[:, c, u : u + stride * (oh - 1) + 1 : stride, v : v + stride * (ow - 1) + 1 : stride]
+                acc += win[:, None] * w[:, c, u, v].astype(np.int64)[None, :, None, None]
+    acc += b.astype(np.int64)[None, :, None, None]
+    return ((acc + 2**31) % 2**32 - 2**31).astype(np.int32)
+
+
+def assert_int_conv_matches_oracle(x, zero_point, w, b, stride, padding):
+    """The int32 sums of the full conv and of each one-filter slice against
+    the int64 oracle, and the requantized conv.  Its multiplier is 2**-24,
+    so the int8 output is the top byte of the int32 sum and shows a wrap."""
+    acc = conv2d_int_oracle(x, zero_point, w, b, stride, padding)
+    np.testing.assert_array_equal(_conv_int(x, zero_point, w, b, stride, padding), acc)
+    for o in range(w.shape[0]):
+        one = _conv_int(x, zero_point, w[o : o + 1], b[o : o + 1], stride, padding)
+        np.testing.assert_array_equal(one[:, 0], acc[:, o])
+    out = conv2d(
+        Tensor(x, "i8", QuantParams(1.0, zero_point)), Tensor(w, "i8", QuantParams(2.0**-12)),
+        Tensor(b, "i32", QuantParams(2.0**-12)), stride=stride, padding=padding, out_quant=QuantParams(2.0**12, 0),
+    )
+    np.testing.assert_array_equal(out.data, np.clip(np.round(acc * 2.0**-24), -128, 127).astype(np.int8))
+
+
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == np.float32 and a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
@@ -82,6 +119,10 @@ def assert_same_bits(a, b):
 
 # output spans several im2col blocks: c*kh*kw * oh*ow = 144 * 22 * 22 > _IM2COL_BLOCK
 MULTI_BLOCK = dict(x_shape=(1, 16, 22, 22), w_shape=(2, 16, 3, 3), stride=1, padding=1)
+
+# int8 codes and int32 biases over their full ranges, the extremes drawn often
+INT8_CODES = st.one_of(st.sampled_from([-128, 127]), st.integers(-128, 127))
+INT32_BIASES = st.one_of(st.sampled_from([-(2**31), 2**31 - 1]), st.integers(-(2**31), 2**31 - 1))
 
 # f32 values including ones whose sums overflow float32 and the infinities;
 # NaN inputs are left out because NaN payloads depend on operand order
@@ -196,6 +237,33 @@ class TestConv2d:
             )
             q = np.round(acc * (xq.scale * wq.scale / oq.scale)) + oq.zero_point
             np.testing.assert_array_equal(out.data, np.clip(q, -128, 127).astype(np.int8))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 4), st.integers(1, 7), st.integers(1, 7),
+        st.sampled_from([1, 3]), st.sampled_from([1, 2]), st.sampled_from([0, 1]), INT8_CODES, st.data(),
+    )
+    def test_integer_path_exact_against_int64_oracle(self, cin, cout, h, w, k, stride, padding, zp, data):
+        if h + 2 * padding < k or w + 2 * padding < k:
+            return
+        x = data.draw(arrays(np.int8, (1, cin, h, w), elements=INT8_CODES))
+        wt = data.draw(arrays(np.int8, (cout, cin, k, k), elements=INT8_CODES))
+        b = data.draw(arrays(np.int32, (cout,), elements=INT32_BIASES))
+        assert_int_conv_matches_oracle(x, zp, wt, b, stride, padding)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_integer_path_exact_across_gemm_blocks(self, stride):
+        rng = np.random.default_rng(19)
+        x = rng.integers(-128, 128, (1, 32, 24, 24)).astype(np.int8)
+        w = rng.integers(-128, 128, (32, 32, 3, 3)).astype(np.int8)
+        w[0, 0, 0, 0] = w[-1, -1, -1, -1] = -128
+        b = rng.integers(-(2**31), 2**31, 32).astype(np.int32)
+        b[:2] = [-(2**31), 2**31 - 1]
+        # the output columns, at row pitch 26, span more than one block of
+        # _GEMM_MACS multiply-adds: 3 blocks at stride 1, 2 at stride 2
+        o = (26 - 3) // stride + 1
+        assert (o - 1) * 26 + o > _GEMM_MACS // (32 * 32)
+        assert_int_conv_matches_oracle(x, -7, w, b, stride, 1)
 
     def test_integer_output_saturates(self):
         xq = QuantParams(1.0, 0)
@@ -334,6 +402,18 @@ class TestSpatialOps:
         out = concat_channels(a, b)
         assert out.shape == (1, 5, 2, 2)
         assert np.all(out.data[0, :2] == 1.0) and np.all(out.data[0, 2:] == 2.0)
+
+    @given(st.floats(1e-3, 10), INT8_CODES, st.floats(1e-3, 10), INT8_CODES)
+    def test_int8_concat_requantizes_like_the_formula(self, s1, z1, s2, z2):
+        src, dst = QuantParams(s1, z1), QuantParams(s2, z2)
+        codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
+        other = Tensor(codes[:, :1], "i8", dst)
+        out = concat_channels(Tensor(codes, "i8", src), other, out_quant=dst)
+        assert out.quant == dst
+        # the per-element formula: dequantize in float64, quantize under dst
+        expect = quantize_affine((codes.astype(np.float64) - z1) * s1, dst)
+        np.testing.assert_array_equal(out.data[:, :4], expect)
+        np.testing.assert_array_equal(out.data[:, 4:], other.data)
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
