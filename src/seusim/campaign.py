@@ -112,8 +112,7 @@ class CampaignConfig:
     layers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not 0 < self.e < 1 or self.t <= 0 or not 0 < self.p < 1 or self.cap < 1:
-            raise ValueError("campaign parameters out of range")
+        sample_size(1, self.e, self.t, self.p, self.cap)  # checks e, t, p and cap
         if self.seed < 0:
             raise ValueError(f"campaign config field 'seed': must be non-negative, got {self.seed}")
         if self.sampling not in SAMPLING_MODES:
@@ -395,20 +394,33 @@ def write_matrix_csv(path, matrix: ErrorMatrix) -> None:
 
 
 def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
+    """Cells of a matrix file; a missing, extra or unparsable value is a
+    ValueError naming the file, the line and the column."""
     cells = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != MATRIX_COLUMNS:
-            raise ValueError(f"unexpected matrix header: {header}")
-        for lid, bit, count, mean, std, mean_nz, mx in reader:
-            cells[(int(lid), int(bit))] = CellStats(
-                int(count), float(mean), float(std), float(mean_nz), float(mx)
-            )
+        header = next(reader, None)
+        if tuple(header or ()) != MATRIX_COLUMNS:
+            raise ValueError(f"{path}: unexpected matrix header: {header}")
+        width = len(MATRIX_COLUMNS)
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < width:
+                raise ValueError(f"{where}, column {MATRIX_COLUMNS[len(row)]!r}: missing")
+            if len(row) > width:
+                raise ValueError(f"{where}, column {width + 1}: unexpected value {row[width]!r}")
+            values = []
+            for column, kind, text in zip(MATRIX_COLUMNS, (int,) * 3 + (float,) * 4, row):
+                try:
+                    values.append(kind(text))
+                except ValueError:
+                    raise ValueError(f"{where}, column {column!r}: expected {kind.__name__}, got {text!r}") from None
+            lid, bit, *stats = values
+            cells[(lid, bit)] = CellStats(*stats)
     return cells
 
 
-def _json_value(value, kind: type):
+def json_value(value, kind: type):
     """`value` if JSON gives it as a `kind`: an integer for int, any number
     for float.  A bool is not a number and a float is never an int."""
     accepted = (int, float) if kind is float else kind
@@ -437,9 +449,9 @@ def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig
                 if value:
                     kw[name] = frozenset(ParamKind(k) for k in value)
             elif defaults[name] is None:  # bits, layers
-                kw[name] = tuple(_json_value(v, int) for v in value)
+                kw[name] = tuple(json_value(v, int) for v in value)
             else:
-                kw[name] = _json_value(value, type(defaults[name]))
+                kw[name] = json_value(value, type(defaults[name]))
         except (TypeError, ValueError) as e:  # ValueError: an unknown ParamKind
             raise ValueError(f"campaign config field {name!r}: {e}") from None
     return CampaignConfig(**kw, inputs=inputs)

@@ -34,6 +34,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _non_negative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return v
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -137,7 +144,7 @@ def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
                 if name not in s:
                     raise ValueError(f"{field}: missing")
                 try:
-                    size[name] = camp._json_value(s.pop(name), int)
+                    size[name] = camp.json_value(s.pop(name), int)
                 except TypeError as e:
                     raise ValueError(f"{field}: {e}") from None
                 if size[name] < least:
@@ -225,11 +232,9 @@ def cmd_predict(args) -> int:
         signs = errormodel.bias_signs(bias.data.astype(np.float32))
     elif args.freqs is not None:
         freqs = np.asarray(args.freqs, dtype=np.float64)
-        if freqs.max() > 1.0:
+        if (freqs > 1.0).any():
             freqs = freqs / 100.0  # accept percentages directly
-        if freqs.min() < 0 or abs(freqs.sum() - 1.0) > errormodel.SUM_TOLERANCE:
-            raise ValueError(f"--freqs: expected non-negative class frequencies summing to 1 "
-                             f"(or 100 as percent), got {args.freqs}")
+        freqs = errormodel.probabilities(freqs, "--freqs")
         if args.signs is not None:
             signs = _signs_from_text(args.signs)
         elif args.biases is not None:
@@ -242,10 +247,7 @@ def cmd_predict(args) -> int:
     profile = errormodel.SaturationProfile(
         k_sat=args.k_sat, bit_range=(args.bit_min, args.bit_max), weighting=args.weighting
     )
-    try:
-        p_fi = errormodel._p_fi(args.p_fi or None, len(signs))
-    except ValueError as e:
-        raise ValueError(f"--p-fi: {e}") from None
+    p_fi = None if args.p_fi is None else errormodel.probabilities(args.p_fi, "--p-fi", len(signs))
     report = errormodel.prediction_report(freqs, signs, profile=profile, p_fi=p_fi)
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2) + "\n")
@@ -337,7 +339,7 @@ def cmd_prune(args) -> int:
         for k in ratios:
             if not k.isdecimal():
                 raise TypeError(f"layer id {k!r} is not a non-negative integer")
-        ratios = {int(k): camp._json_value(v, float) for k, v in ratios.items()}
+        ratios = {int(k): camp.json_value(v, float) for k, v in ratios.items()}
     except TypeError as e:
         raise ValueError(f"{args.plan}: field 'ratios': {e}") from None
     pruned = compress.apply_prune(graph, compress.PruningPlan(ratios))
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-channels", type=_positive_int, default=3)
     p.add_argument("--classes", type=_positive_int, default=6)
     p.add_argument("--activation", choices=ACTIVATION_KINDS, default="relu")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calib", nargs="*", help=".npy calibration images")
     p.add_argument("--calib-synthetic", type=_positive_int, default=2)
     p.add_argument("--size", type=_positive_int, nargs=2, default=(32, 32), metavar=("H", "W"))
-    p.add_argument("--calib-seed", type=int, default=0)
+    p.add_argument("--calib-seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("census", help="value-range and partial-exponent reports")

@@ -25,12 +25,11 @@ from .model import (
     LayerNode,
     ModelGraph,
     ParamKind,
-    _execute,
-    _logits,
     descendants,
     golden_trace,
     out_channels,
     predict_classes,
+    replay,
     run_model_trace,
     validate_model,
 )
@@ -156,10 +155,10 @@ def evaluate_model(model: ModelGraph, inputs, labels) -> tuple[float, float]:
 
 
 def _golden_reads(model: ModelGraph, x: Tensor, reads: set[int]):
-    """`model`'s class map on `x` and the golden outputs of the nodes in
-    `reads`; the rest of the trace is dropped on return."""
+    """`model`'s golden trace on `x`, keeping only the outputs of the nodes
+    in `reads`; the rest of the trace is dropped on return."""
     golden = golden_trace(model, x)
-    return golden.classes, {i: golden.produced[i] for i in reads}
+    return replace(golden, produced={i: golden.produced[i] for i in reads})
 
 
 def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> SensitivityCurve:
@@ -183,17 +182,15 @@ def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> Sensi
     giou = lambda class_maps: _pooled_iou(labels, class_maps, model.n_classes)[0]
 
     goldens = [_golden_reads(model, x, reads) for x in inputs]
-    values = [giou([classes for classes, _ in goldens])]
+    values = [giou([golden.classes for golden in goldens])]
     for r in PRUNE_RATIOS[1:]:
         pruned = apply_prune(model, PruningPlan({layer_id: r}))
         keep = kept_filters(model.node(layer_id).params[ParamKind.ConvWeight], r)
-        pruned_cone = [pruned.nodes[n.id] for n in cone]
         class_maps = []
-        for _, golden in goldens:
-            base = golden[layer_id]
-            produced = {**golden, layer_id: Tensor(base.data[:, keep], base.dtype, base.quant)}
-            out = _execute(pruned_cone, None, produced)[last]  # no cone node reads the model input
-            class_maps.append(argmax_classes(_logits(out)))
+        for golden in goldens:
+            base = golden.produced[layer_id]
+            kept = Tensor(base.data[:, keep], base.dtype, base.quant)
+            class_maps.append(argmax_classes(replay(pruned, golden, layer_id, kept)))
         values.append(giou(class_maps))
     return SensitivityCurve(layer_id, PRUNE_RATIOS, tuple(values))
 

@@ -66,17 +66,21 @@ def contributions(freqs, signs) -> np.ndarray:
     return np.where(neg, freqs, 1.0 - freqs)
 
 
-def _p_fi(p_fi, n: int) -> np.ndarray:
-    if p_fi is None:
-        return np.full(n, 1.0 / n)
-    p = np.asarray(p_fi, dtype=np.float64)
-    if p.size != n:
-        raise ValueError("p_fi length mismatch")
-    if (p < 0).any():
-        raise ValueError("p_fi entries must be non-negative")
-    if abs(p.sum() - 1.0) > SUM_TOLERANCE:
-        raise ValueError("p_fi must sum to 1")
+def probabilities(values, name: str, n: int | None = None) -> np.ndarray:
+    """`values` as a float64 probability vector: non-empty, with `n` entries
+    when `n` is given, none negative, summing to 1 within SUM_TOLERANCE.
+    Anything else, NaN included, is a ValueError naming `name`."""
+    p = np.asarray(values, dtype=np.float64)
+    length_ok = p.ndim == 1 and p.size > 0 and (n is None or p.size == n)
+    if not (length_ok and (p >= 0).all() and abs(p.sum() - 1.0) <= SUM_TOLERANCE):
+        count = "" if n is None else f"{n} "
+        raise ValueError(f"{name}: expected {count}non-negative probabilities summing to 1 "
+                         f"within {SUM_TOLERANCE}, got {p.tolist()}")
     return p
+
+
+def _p_fi(p_fi, n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n) if p_fi is None else probabilities(p_fi, "p_fi", n)
 
 
 def expected_error_from_contributions(contribs, p_fi=None) -> float:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errormodel import SUM_TOLERANCE
+from .errormodel import probabilities
 from .tensor import (
     ACTIVATION_KINDS,
     QuantParams,
@@ -121,7 +121,8 @@ def out_channels(graph: ModelGraph, node: LayerNode) -> int:
 
 def validate_model(graph: ModelGraph) -> None:
     """Structural checks: dense ids, topological inputs, consistent shapes,
-    known activations, conv strides >= 1, and BN variances with var + eps > 0."""
+    known activations, conv strides >= 1, BN variances with var + eps > 0,
+    and int8 conv weights and biases with zero point 0."""
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
@@ -163,6 +164,9 @@ def validate_model(graph: ModelGraph) -> None:
                 raise ValueError("int8 graph must not contain standalone batch_norm nodes")
             if n.kind in ("conv", "activation", "concat") and n.out_quant is None:
                 raise ValueError(f"int8 node {n.id} missing output QuantParams")
+            for k, t in n.params.items():  # conv weights and biases: the int8 kernel assumes 0
+                if t.quant is not None and t.quant.zero_point != 0:
+                    raise ValueError(f"int8 conv {n.id} {k.value} zero point must be 0, got {t.quant.zero_point}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +328,15 @@ def descendants(graph: ModelGraph, layer_id: int) -> list[LayerNode]:
     return cone
 
 
+def replay(graph: ModelGraph, golden: GoldenTrace, layer_id: int, output: Tensor) -> Tensor:
+    """Logits [n_classes, H, W] of `graph` when node `layer_id` outputs
+    `output` and its descendants read every other input from `golden`.
+    `golden.produced` needs only the outputs they read from outside
+    themselves, and the output node's if it is not one of them."""
+    produced = {**golden.produced, layer_id: output}
+    return _logits(_execute(descendants(graph, layer_id), golden.x, produced)[graph.nodes[-1].id])
+
+
 def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> Tensor:
     """Logits [n_classes, H, W] of `graph` with `fault` (from
     `seusim.inject.channel_fault`) applied; `graph` itself is only read.
@@ -338,9 +351,7 @@ def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) 
     base = golden.produced[layer_id]
     spliced = base.data.copy()
     spliced[:, fault.channel] = _one_channel(graph.node(layer_id), fault, golden).data[:, 0]
-    produced = dict(golden.produced)
-    produced[layer_id] = Tensor(spliced, base.dtype, base.quant)
-    return _logits(_execute(descendants(graph, layer_id), golden.x, produced)[graph.nodes[-1].id])
+    return replay(graph, golden, layer_id, Tensor(spliced, base.dtype, base.quant))
 
 
 def faulted_classes(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> np.ndarray:
@@ -569,13 +580,9 @@ def build_bias_probe_model(
     the fraction of pixels requested by `class_freqs`.
     """
     bias_values = np.asarray(bias_values, dtype=np.float32)
-    freqs = np.asarray(class_freqs, dtype=np.float64)
-    if bias_values.shape != freqs.shape or freqs.ndim != 1:
+    freqs = probabilities(class_freqs, "class_freqs")
+    if bias_values.shape != freqs.shape:
         raise ValueError("bias_values and class_freqs must be equal-length vectors")
-    if np.any(freqs < 0):
-        raise ValueError("infeasible frequencies: negative entries")
-    if abs(freqs.sum() - 1.0) > SUM_TOLERANCE:
-        raise ValueError(f"frequencies must sum to 1, got {freqs.sum()}")
     freqs = freqs / freqs.sum()  # absorb printed-rounding residue
     n = freqs.size
     h, w = image_hw

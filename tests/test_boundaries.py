@@ -1,0 +1,61 @@
+"""Module boundaries: no seusim module uses another module's private names.
+
+A name with a leading underscore belongs to its module.  A module that
+needs another's private name should use a public owner of the same rule
+instead, so the rule is stated once.
+"""
+
+import ast
+from pathlib import Path
+
+import seusim
+
+SRC = Path(seusim.__file__).parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_seusim(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "seusim"
+
+
+def private_uses(source: str) -> list[str]:
+    """Private names of other seusim modules that `source` imports, or reads
+    as attributes of a seusim module it imported."""
+    tree = ast.parse(source)
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_seusim(node):
+            for alias in node.names:
+                if node.module is None:  # from . import campaign as camp
+                    modules.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    uses.append(f"from {'.' * node.level}{node.module or ''} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "seusim":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
+def test_no_module_uses_another_modules_private_names():
+    found = {p.name: private_uses(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_private_uses_finds_both_forms():
+    source = (
+        "from . import campaign as camp, errormodel\n"
+        "from .model import _execute, descendants\n"
+        "import seusim.model as zoo\n"
+        "camp._json_value(1, int); errormodel._p_fi(None, 2); zoo._logits; camp.plan\n"
+        "from . import __version__\n"
+    )
+    assert sorted(private_uses(source)) == [
+        "camp._json_value", "errormodel._p_fi", "from .model import _execute", "zoo._logits"]

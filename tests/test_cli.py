@@ -55,6 +55,16 @@ class TestGen:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option", [
+        (["gen", "--depth", 1, "--seed", -1], "--seed"),
+        (["quantize", "--model", "m.bin", "--calib-seed", -3], "--calib-seed"),
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command, option):
+        code = run_cli(*command, "--out", tmp_path / "x.bin")
+        assert code == 1
+        assert f"argument {option}: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()
+
     def test_manifest_lists_output_digest(self, tmp_path):
         out = tmp_path / "m.bin"
         run_cli("gen", "--depth", 1, "--out", out)
@@ -113,6 +123,9 @@ class TestPlanRun:
         ({"inputs": [{"synthetic": {"height": 8}}]}, "field 'width': missing"),
         ({"inputs": [{"synthetic": {"height": 8, "width": 8, "sead": 3}}]}, "field 'sead': unknown"),
         ({"inputs": [{"synthetic": 8}]}, "synthetic input spec 8"),
+        ({"e": 1.5}, "error margin e"),
+        ({"p": 0}, "failure probability p"),
+        ({"cap": 0}, "cap must be >= 1"),
     ])
     def test_config_errors_exit_2_on_plan_and_run(self, tmp_path, model_file, capsys, config, named):
         cfg = tmp_path / "c.json"
@@ -253,6 +266,8 @@ class TestPredictCompare:
         (["--freqs", "10,20"], "--freqs"),  # percent summing to 30
         (["--freqs=-0.5,1.5"], "--freqs"),
         (["--freqs", "0.3,0.7", "--p-fi=-0.5,1.5"], "--p-fi"),
+        (["--freqs", ""], "--freqs"),
+        (["--freqs", "0.3,0.7", "--p-fi", ""], "--p-fi"),
     ])
     def test_predict_takes_probabilities_only(self, tmp_path, capsys, args, option):
         out = tmp_path / "p.json"
@@ -335,6 +350,24 @@ class TestPredictCompare:
         assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
                        "--out", tmp_path / "cmp.json") == 2
         assert f"prediction field {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, named", [
+        (["2,30,6,0.34"], ", line 2, column 'std': missing"),
+        (["2,x,6,0.34,0.3,0.4,0.83"], ", line 2, column 'bit': expected int, got 'x'"),
+        (["2,29,6,0,0,0,0", "2,30,6,0.34,0.3,0.4,high"], ", line 3, column 'max': expected float, got 'high'"),
+        (["2,30,6,0.34,0.3,0.4,0.83,9"], ", line 2, column 8: unexpected value '9'"),
+        (None, ": unexpected matrix header: None"),  # an empty file
+    ])
+    def test_malformed_matrix_cell_is_data_error(self, tmp_path, capsys, rows, named):
+        pred = tmp_path / "p.json"
+        run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27",
+                "--signs", "n,p,n,p,n,p", "--out", pred)
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text("" if rows is None else "\n".join(["layer_id,bit,count,mean,std,mean_nonzero,max", *rows]))
+        capsys.readouterr()
+        assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
+                       "--out", tmp_path / "cmp.json") == 2
+        assert capsys.readouterr().err == f"error: {matrix}{named}\n"
 
     def test_compare_empty_overlap_is_error(self, tmp_path):
         pred = tmp_path / "p.json"

@@ -221,7 +221,6 @@ class TestSensitivitySweepDifferential:
             raise AssertionError("forward pass ran")
 
         monkeypatch.setattr(seusim.model, "_execute", no_forward)
-        monkeypatch.setattr(seusim.compress, "_execute", no_forward)
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         x = synthetic_input(g, 16, 16, seed=1)
         labels = np.zeros((16, 16), dtype=np.int64)

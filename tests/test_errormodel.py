@@ -16,6 +16,7 @@ from seusim.errormodel import (
     expected_quantized_bias_error,
     measured_weighted_rate,
     prediction_report,
+    probabilities,
 )
 from seusim.metrics import confusion_matrix, giou, giou_wiou_from_confusion, wiou
 
@@ -126,6 +127,23 @@ class TestExpectedError:
     def test_p_fi_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             expected_bias_msb_error(RELU_FREQS, bias_signs(RELU_BIASES), p_fi=[-0.5, 1.5, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("values, n", [
+        ([], None),
+        ([0.5, 0.5], 3),
+        ([[0.5, 0.5]], None),
+        ([-0.5, 1.5], None),
+        ([0.5, float("nan")], None),
+        ([0.5, 0.4989], 2),  # off by 1.1e-3
+        ([0.5, 0.5011], None),
+    ])
+    def test_probabilities_rejected(self, values, n):
+        with pytest.raises(ValueError, match="^the name: expected"):
+            probabilities(values, "the name", n)
+
+    @pytest.mark.parametrize("values, n", [([0.1667] * 6, 6), ([0.1667] * 6, None), ([1], 1), ([0.5, 0.4991], 2)])
+    def test_probabilities_accepted(self, values, n):
+        assert probabilities(values, "the name", n).tolist() == values
 
 
 class TestSaturationProfile:

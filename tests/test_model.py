@@ -194,6 +194,20 @@ class TestModelFile:
         assert not any(q.bit_equal(v) or v.bit_equal(q) for v in variants)
         assert q.bit_equal(replace(q, meta={}))  # meta is not compared
 
+    @pytest.mark.parametrize("kind", [ParamKind.ConvWeight, ParamKind.ConvBias])
+    def test_int8_conv_zero_point_does_not_load(self, tmp_path, kind):
+        # the int8 conv kernel reads only the input's zero point
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=1)
+        q = quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=0)])
+        t = q.nodes[3].params[kind]
+        q.nodes[3].params[kind] = Tensor(t.data, t.dtype, QuantParams(t.quant.scale, 40))
+        path = tmp_path / "q.bin"
+        save_model(q, path)
+        with pytest.raises(ValueError, match=f"int8 conv 3 {kind.value} zero point must be 0, got 40"):
+            load_model(path)
+
     def test_truncated_file_reports_corrupt(self, tmp_path):
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         blob = serialize_model(g)
