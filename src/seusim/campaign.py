@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -342,81 +343,82 @@ RECORD_COLUMNS = (
 MATRIX_COLUMNS = ("layer_id", "bit", "count", "mean", "std", "mean_nonzero", "max")
 
 
+def write_table(path, columns, rows) -> None:
+    """The header `columns`, then one line per row, in the csv module's
+    default dialect: commas, `\\r\\n` line ends, floats as their repr."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def read_table(path, name: str, columns, parsers):
+    """(line number, values) per row of a `write_table` file, each value
+    parsed by its column's parser.  A header other than `columns` (an empty
+    file has none), and a missing, extra or rejected value, is a ValueError
+    naming the file and, for a value, the line and the column."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if tuple(header or ()) != tuple(columns):
+            raise ValueError(f"{path}: unexpected {name} header: {header}")
+        width = len(columns)
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < width:
+                raise ValueError(f"{where}, column {columns[len(row)]!r}: missing")
+            if len(row) > width:
+                raise ValueError(f"{where}, column {width + 1}: unexpected value {row[width]!r}")
+            values = []
+            for column, parse, text in zip(columns, parsers, row):
+                try:
+                    values.append(parse(text))
+                except ValueError:
+                    raise ValueError(f"{where}, column {column!r}: expected {parse.__name__}, got {text!r}") from None
+            yield reader.line_num, values
+
+
 def _hex(bits: int, width: int) -> str:
     return format(bits, f"0{width // 4}x")
 
 
 def write_records_csv(path, records: list[InjectionRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RECORD_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    r.location.layer_id, r.location.kind.value, r.location.index, r.location.bit,
-                    r.direction, r.field, _hex(r.pre_bits, r.bit_width), _hex(r.post_bits, r.bit_width),
-                    r.post_kind, r.input_id, repr(r.error_rate),
-                ]
-            )
+    write_table(path, RECORD_COLUMNS, (
+        (r.location.layer_id, r.location.kind.value, r.location.index, r.location.bit, r.direction, r.field,
+         _hex(r.pre_bits, r.bit_width), _hex(r.post_bits, r.bit_width), r.post_kind, r.input_id, r.error_rate)
+        for r in records
+    ))
 
 
 def read_records_csv(path) -> list[InjectionRecord]:
-    records = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if tuple(header) != RECORD_COLUMNS:
-            raise ValueError(f"unexpected records header: {header}")
-        for row in reader:
-            (lid, kind, index, bit, direction, fld, pre, post, post_kind, input_id, rate) = row
-            records.append(
-                InjectionRecord(
-                    location=FaultLocation(int(lid), ParamKind(kind), int(index), int(bit)),
-                    bit_width=len(pre) * 4,
-                    pre_bits=int(pre, 16),
-                    post_bits=int(post, 16),
-                    direction=direction,
-                    field=fld,
-                    post_kind=post_kind,
-                    input_id=int(input_id),
-                    error_rate=float(rate),
-                )
-            )
-    return records
+    """Records of a records file, checked as `read_table` checks every table."""
+    def hex_bits(text: str) -> tuple[int, int]:  # the bits, and the width the digits give
+        if not re.fullmatch("[0-9a-fA-F]{2}|[0-9a-fA-F]{8}", text):
+            raise ValueError
+        return int(text, 16), len(text) * 4
+
+    parsers = (int, ParamKind, int, int, str, str, hex_bits, hex_bits, str, int, float)
+    return [
+        InjectionRecord(FaultLocation(lid, kind, index, bit), width, pre, post,
+                        direction, fld, post_kind, input_id, rate)
+        for _, (lid, kind, index, bit, direction, fld, (pre, width), (post, _), post_kind, input_id, rate)
+        in read_table(path, "records", RECORD_COLUMNS, parsers)
+    ]
 
 
 def write_matrix_csv(path, matrix: ErrorMatrix) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(MATRIX_COLUMNS)
-        for (lid, bit), c in sorted(matrix.cells.items()):
-            w.writerow([lid, bit, c.count, repr(c.mean), repr(c.std), repr(c.mean_nonzero), repr(c.max)])
+    write_table(path, MATRIX_COLUMNS, ((lid, bit, *astuple(c)) for (lid, bit), c in sorted(matrix.cells.items())))
 
 
 def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
-    """Cells of a matrix file; a missing, extra or unparsable value is a
-    ValueError naming the file, the line and the column."""
-    cells = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if tuple(header or ()) != MATRIX_COLUMNS:
-            raise ValueError(f"{path}: unexpected matrix header: {header}")
-        width = len(MATRIX_COLUMNS)
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(row) < width:
-                raise ValueError(f"{where}, column {MATRIX_COLUMNS[len(row)]!r}: missing")
-            if len(row) > width:
-                raise ValueError(f"{where}, column {width + 1}: unexpected value {row[width]!r}")
-            values = []
-            for column, kind, text in zip(MATRIX_COLUMNS, (int,) * 3 + (float,) * 4, row):
-                try:
-                    values.append(kind(text))
-                except ValueError:
-                    raise ValueError(f"{where}, column {column!r}: expected {kind.__name__}, got {text!r}") from None
-            lid, bit, *stats = values
-            cells[(lid, bit)] = CellStats(*stats)
+    """Cells of a matrix file, checked as `read_table` checks every table; a
+    second row for a cell is a ValueError naming both lines."""
+    cells, lines = {}, {}
+    for line, (lid, bit, *stats) in read_table(path, "matrix", MATRIX_COLUMNS, (int,) * 3 + (float,) * 4):
+        if (lid, bit) in lines:
+            raise ValueError(f"{path}, line {line}: cell {(lid, bit)} repeats line {lines[lid, bit]}")
+        lines[lid, bit] = line
+        cells[lid, bit] = CellStats(*stats)
     return cells
 
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -110,9 +111,17 @@ def vars_without(args, *skip) -> dict:
 
 
 def _load_input_tensor(path: str) -> Tensor:
-    arr = np.load(path)
-    if arr.ndim != 3:
-        raise ValueError(f"input {path} must be a [C, H, W] array, got shape {arr.shape}")
+    """The image of a .npy file; a file holding anything but a numeric
+    [C, H, W] array is a ValueError naming it."""
+    try:
+        with open(path, "rb") as f:
+            arr = np.load(f)
+    except (ValueError, EOFError):  # not an array numpy reads without unpickling
+        raise ValueError(f"input {path} is not a .npy file") from None
+    if not isinstance(arr, np.ndarray):  # an .npz archive
+        raise ValueError(f"input {path} must be a [C, H, W] array, got a {type(arr).__name__}")
+    if arr.ndim != 3 or arr.dtype.kind not in "biuf":
+        raise ValueError(f"input {path} must be a [C, H, W] array of numbers, got {arr.dtype} shape {arr.shape}")
     return Tensor(np.asarray(arr, dtype=np.float32), "f32")
 
 
@@ -163,19 +172,21 @@ def _load_campaign(args, graph):
 
 
 def cmd_plan(args) -> int:
+    started = time.time()
     graph = load_model(args.model)
-    config, _ = _load_campaign(args, graph)
+    config, raw_config = _load_campaign(args, graph)
     cplan = camp.plan(graph, config)
     print("layer  N  n")
     for e in cplan.entries:
         print(f"{e.layer_id:>5}  {e.fault_space}  {e.injections}")
     print(f"total injections: {cplan.total_injections()}")
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("layer_id,fault_space,injections\n")
-            for e in cplan.entries:
-                f.write(f"{e.layer_id},{e.fault_space},{e.injections}\n")
-        print(f"wrote {args.out}")
+        out = Path(args.out)
+        camp.write_table(out, ("layer_id", "fault_space", "injections"),
+                         ((e.layer_id, e.fault_space, e.injections) for e in cplan.entries))
+        print(f"wrote {out}")
+        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "plan", [out], started,
+                        config=raw_config, model_hash=model_digest(graph), seed=config.seed)
     return 0
 
 
@@ -387,16 +398,12 @@ def cmd_census(args) -> int:
     graph = load_model(args.model)
     out_dir = _out_dir(args)
     ranges_path = out_dir / "census_ranges.csv"
-    with open(ranges_path, "w") as f:
-        f.write("layer_id,count,frac_lt1,frac_1to2,frac_ge2,frac_zero\n")
-        for lid, c in sorted(inject.value_range_census(graph).items()):
-            f.write(f"{lid},{c.count},{c.frac_lt1!r},{c.frac_1to2!r},{c.frac_ge2!r},{c.frac_zero!r}\n")
+    camp.write_table(ranges_path, [f.name for f in fields(inject.RangeCensus)],
+                     [astuple(c) for _, c in sorted(inject.value_range_census(graph).items())])
     partial_path = out_dir / "census_partial_exponent.csv"
-    with open(partial_path, "w") as f:
-        f.write("layer_id,bit,count,frac_zero_at_bit,frac_one_flip_from_filled\n")
-        for bit in inject.PARTIAL_EXPONENT_BITS:
-            for lid, c in sorted(inject.partial_exponent_census(graph, bit).items()):
-                f.write(f"{lid},{bit},{c.count},{c.frac_zero_at_bit!r},{c.frac_one_flip_from_filled!r}\n")
+    camp.write_table(partial_path, [f.name for f in fields(inject.PartialExponentCensus)], [
+        astuple(c) for bit in inject.PARTIAL_EXPONENT_BITS
+        for _, c in sorted(inject.partial_exponent_census(graph, bit).items())])
     print(f"wrote {ranges_path}, {partial_path}")
     _write_manifest(out_dir / "census_manifest.json", "census", [ranges_path, partial_path],
                     started, model_hash=model_digest(graph))

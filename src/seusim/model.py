@@ -48,6 +48,11 @@ DEFAULT_CAMPAIGN_KINDS = frozenset(
     {ParamKind.ConvWeight, ParamKind.ConvBias, ParamKind.BNGamma, ParamKind.BNBeta}
 )
 ALL_PARAM_KINDS = frozenset(ParamKind)
+# the parameters each layer kind reads; the other kinds read none
+LAYER_PARAMS = {
+    "conv": (ParamKind.ConvWeight, ParamKind.ConvBias),
+    "batch_norm": (ParamKind.BNGamma, ParamKind.BNBeta, ParamKind.BNMean, ParamKind.BNVar),
+}
 
 
 @dataclass
@@ -120,14 +125,19 @@ def out_channels(graph: ModelGraph, node: LayerNode) -> int:
 
 
 def validate_model(graph: ModelGraph) -> None:
-    """Structural checks: dense ids, topological inputs, consistent shapes,
-    known activations, conv strides >= 1, BN variances with var + eps > 0,
-    and int8 conv weights and biases with zero point 0."""
+    """Structural checks: dense ids, topological inputs, the parameters each
+    kind reads and no others, consistent shapes, known activations, conv
+    strides >= 1, BN variances with var + eps > 0, and int8 conv weights and
+    biases with zero point 0."""
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
         if n.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {n.kind!r}")
+        expected = LAYER_PARAMS.get(n.kind, ())
+        if set(n.params) != set(expected):
+            raise ValueError(f"{n.kind} {i} must hold parameters {[k.value for k in expected]}, "
+                             f"got {[k.value for k in n.params]}")
         for j in n.inputs:
             if not 0 <= j < i:
                 raise ValueError(f"node {i} references non-earlier input {j}")
@@ -148,7 +158,7 @@ def validate_model(graph: ModelGraph) -> None:
             if n.params[ParamKind.ConvBias].shape != (w.shape[0],):
                 raise ValueError(f"conv {i} bias inconsistent with {w.shape[0]} filters")
         if n.kind == "batch_norm":
-            for k in (ParamKind.BNGamma, ParamKind.BNBeta, ParamKind.BNMean, ParamKind.BNVar):
+            for k in LAYER_PARAMS["batch_norm"]:
                 if n.params[k].shape != (in_ch,):
                     raise ValueError(f"batch_norm {i} {k.value} inconsistent with {in_ch} channels")
             if np.any(n.params[ParamKind.BNVar].data + np.float32(n.eps) <= 0):

@@ -409,11 +409,37 @@ class TestAggregate:
 
 class TestSerialization:
     def test_records_roundtrip(self, tmp_path):
+        # f32 patterns are 8 hex digits; int8 weights 2 and int32 biases 8
         g, cfg = tiny_campaign_config()
-        records, _ = run_campaign(g, cfg)
+        q = quantize_model(fold_batch_norm(g), list(cfg.inputs))
+        kinds = frozenset({ParamKind.ConvWeight, ParamKind.ConvBias})
         path = tmp_path / "records.csv"
-        write_records_csv(path, records)
-        assert read_records_csv(path) == records
+        for model, config in ((g, cfg), (q, replace(cfg, included_kinds=kinds, cap=30))):
+            records, _ = run_campaign(model, config)
+            write_records_csv(path, records)
+            assert read_records_csv(path) == records
+        assert {r.bit_width for r in records} == {8, 32}
+
+    VALID_RECORD = "0,ConvWeight,3,30,zero_to_one,exponent,3e800000,7e800000,finite,0,0.25"
+
+    @pytest.mark.parametrize("rows, named", [
+        (None, ": unexpected records header: None"),  # an empty file
+        (["0,ConvWeight,3"], ", line 2, column 'bit': missing"),
+        ([VALID_RECORD, VALID_RECORD + ",9"], ", line 3, column 12: unexpected value '9'"),
+        ([VALID_RECORD.replace("3e8", "3g8")], ", line 2, column 'pre_bits': expected hex_bits, got '3g800000'"),
+        ([VALID_RECORD.replace("7e800000", "7e8")], ", line 2, column 'post_bits': expected hex_bits, got '7e8'"),
+        ([VALID_RECORD.replace("ConvWeight", "ConvWieght")],
+         ", line 2, column 'kind': expected ParamKind, got 'ConvWieght'"),
+        ([VALID_RECORD.replace(",3,30,", ",1.5,30,")], ", line 2, column 'index': expected int, got '1.5'"),
+    ])
+    def test_malformed_records_name_file_line_and_column(self, tmp_path, rows, named):
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join([",".join(camp.RECORD_COLUMNS), self.VALID_RECORD]))
+        assert read_records_csv(path)[0].bit_width == 32
+        path.write_text("" if rows is None else "\n".join([",".join(camp.RECORD_COLUMNS), *rows]))
+        with pytest.raises(ValueError) as err:
+            read_records_csv(path)
+        assert str(err.value) == f"{path}{named}"
 
     def test_matrix_roundtrip(self, tmp_path):
         g, cfg = tiny_campaign_config()

@@ -163,13 +163,25 @@ class TestPlanRun:
             digests.add(sha(d / "records.csv"))
         assert len(digests) == 1
 
-    def test_input_array_must_be_chw(self, tmp_path, model_file, capsys):
-        img = tmp_path / "x.npy"
-        np.save(img, np.zeros((1, 3, 16, 16), dtype=np.float32))
+    @pytest.mark.parametrize("name, save, named", [
+        ("x.npy", lambda p: np.save(p, np.zeros((1, 3, 16, 16), np.float32)),
+         "[C, H, W] array of numbers, got float32 shape (1, 3, 16, 16)"),
+        ("x.npz", lambda p: np.savez(p, x=np.zeros((3, 16, 16), np.float32)), "[C, H, W] array, got a NpzFile"),
+        ("x.npy", lambda p: np.save(p, np.full((3, 16, 16), "a")), "[C, H, W] array of numbers, got <U1"),
+        ("x.npy", lambda p: p.write_text("3 16 16"), "is not a .npy file"),
+    ], ids=["4d", "npz", "strings", "text"])
+    @pytest.mark.parametrize("command", ["run", "quantize"])
+    def test_input_array_must_be_chw(self, tmp_path, model_file, capsys, name, save, named, command):
+        img = tmp_path / name
+        save(img)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"inputs": [{"path": str(img)}]}))
-        assert run_cli("run", "--model", model_file, "--config", cfg, "--out-dir", tmp_path / "r") == 2
-        assert "[C, H, W]" in capsys.readouterr().err
+        out = tmp_path / "out"
+        args = (["run", "--config", cfg, "--out-dir", out] if command == "run"
+                else ["quantize", "--calib", img, "--out", out])
+        assert run_cli(*args, "--model", model_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input {img} ") and named in err and not out.exists()
 
     def test_run_is_seed_deterministic(self, tmp_path, model_file, config_file):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -357,6 +369,7 @@ class TestPredictCompare:
         (["2,29,6,0,0,0,0", "2,30,6,0.34,0.3,0.4,high"], ", line 3, column 'max': expected float, got 'high'"),
         (["2,30,6,0.34,0.3,0.4,0.83,9"], ", line 2, column 8: unexpected value '9'"),
         (None, ": unexpected matrix header: None"),  # an empty file
+        (["2,30,6,0.9,0,0.9,0.9", "2,30,6,0.3721,0.3,0.4,0.83"], ", line 3: cell (2, 30) repeats line 2"),
     ])
     def test_malformed_matrix_cell_is_data_error(self, tmp_path, capsys, rows, named):
         pred = tmp_path / "p.json"
@@ -464,6 +477,37 @@ class TestCensus:
         monkeypatch.setenv("SEUSIM_OUT_DIR", str(d))
         assert run_cli("census", "--model", model_file) == 0
         assert (d / "census_ranges.csv").exists()
+
+
+class TestManifests:
+    def test_every_written_file_is_in_a_manifest(self, tmp_path, monkeypatch):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        out.mkdir()
+        monkeypatch.chdir(out)
+        cfg = inputs / "c.json"
+        cfg.write_text(json.dumps({"seed": 5, "cap": 6, "bits": [30],
+                                   "inputs": [{"synthetic": {"height": 16, "width": 16, "seed": 1}}]}))
+        prune_plan = inputs / "plan.json"
+        prune_plan.write_text(json.dumps({"ratios": {"0": 0.5}}))
+        commands = [
+            ["gen", "--depth", 1, "--base-channels", 4, "--out", "m.bin"],
+            ["plan", "--model", "m.bin", "--config", cfg, "--out", "plan.csv"],
+            ["run", "--model", "m.bin", "--config", cfg, "--out-dir", "run"],
+            ["predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
+             "--out", "p.json"],
+            ["compare", "--matrix", "run/matrix.csv", "--prediction", "p.json", "--out", "cmp.json"],
+            ["prune", "--model", "m.bin", "--plan", prune_plan, "--out", "pruned.bin"],
+            ["quantize", "--model", "m.bin", "--out", "q.bin", "--calib-synthetic", 1, "--size", 16, 16],
+            ["census", "--model", "m.bin", "--out-dir", "census"],
+        ]
+        for command in commands:
+            assert run_cli(*command) == 0, command[0]
+        written = {p for p in out.rglob("*") if p.is_file()}
+        manifests = {p for p in written if p.name.endswith("manifest.json")}
+        listed = {m.parent / o["path"] for m in manifests for o in json.loads(m.read_text())["outputs"]}
+        assert len(manifests) == len(commands)
+        assert written - manifests == listed
 
 
 class TestExitCodes:

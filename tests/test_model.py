@@ -208,6 +208,21 @@ class TestModelFile:
         with pytest.raises(ValueError, match=f"int8 conv 3 {kind.value} zero point must be 0, got 40"):
             load_model(path)
 
+    @pytest.mark.parametrize("node, change, match", [
+        (4, lambda p: p.pop(ParamKind.ConvBias), r"conv 4 must hold parameters \['ConvWeight', 'ConvBias'\], "
+                                                 r"got \['ConvWeight'\]"),
+        (2, lambda p: p.update({ParamKind.ConvBias: Tensor(np.zeros(4, np.float32), "f32")}),
+         r"activation 2 must hold parameters \[\], got \['ConvBias'\]"),
+    ], ids=["conv-without-bias", "activation-with-bias"])
+    def test_node_parameter_set_does_not_load(self, tmp_path, node, change, match):
+        # a missing parameter breaks the kernel; a stray one enters the fault space unread
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=1)
+        change(g.nodes[node].params)
+        path = tmp_path / "m.bin"
+        save_model(g, path)
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
     def test_truncated_file_reports_corrupt(self, tmp_path):
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         blob = serialize_model(g)
