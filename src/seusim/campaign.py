@@ -40,7 +40,7 @@ import csv
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 from functools import partial
 
 import numpy as np
@@ -115,7 +115,7 @@ class CampaignConfig:
     def __post_init__(self):
         sample_size(1, self.e, self.t, self.p, self.cap)  # checks e, t, p and cap
         if self.seed < 0:
-            raise ValueError(f"campaign config field 'seed': must be non-negative, got {self.seed}")
+            raise ValueError(f"campaign config: field 'seed': must be non-negative, got {self.seed}")
         if self.sampling not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if not self.included_kinds:
@@ -391,19 +391,30 @@ def write_records_csv(path, records: list[InjectionRecord]) -> None:
 
 
 def read_records_csv(path) -> list[InjectionRecord]:
-    """Records of a records file, checked as `read_table` checks every table."""
+    """Records of a records file, checked as `read_table` checks every table.
+    A row's `post_bits` must be its `pre_bits` with bit `bit` flipped, both
+    patterns of one width; otherwise the ValueError names the line and the
+    column."""
     def hex_bits(text: str) -> tuple[int, int]:  # the bits, and the width the digits give
         if not re.fullmatch("[0-9a-fA-F]{2}|[0-9a-fA-F]{8}", text):
             raise ValueError
         return int(text, 16), len(text) * 4
 
     parsers = (int, ParamKind, int, int, str, str, hex_bits, hex_bits, str, int, float)
-    return [
-        InjectionRecord(FaultLocation(lid, kind, index, bit), width, pre, post,
-                        direction, fld, post_kind, input_id, rate)
-        for _, (lid, kind, index, bit, direction, fld, (pre, width), (post, _), post_kind, input_id, rate)
-        in read_table(path, "records", RECORD_COLUMNS, parsers)
-    ]
+    records = []
+    for line, (lid, kind, index, bit, direction, fld, (pre, width), (post, post_width), post_kind, input_id,
+               rate) in read_table(path, "records", RECORD_COLUMNS, parsers):
+        where = f"{path}, line {line}, column"
+        if post_width != width:
+            raise ValueError(f"{where} 'post_bits': {post_width}-bit pattern after {width}-bit pre_bits")
+        if not 0 <= bit < width:
+            raise ValueError(f"{where} 'bit': {bit} outside the {width}-bit pattern")
+        if post != pre ^ (1 << bit):
+            raise ValueError(f"{where} 'post_bits': expected pre_bits with bit {bit} flipped, "
+                             f"{_hex(pre ^ (1 << bit), width)}, got {_hex(post, width)}")
+        records.append(InjectionRecord(FaultLocation(lid, kind, index, bit), width, pre, post,
+                                       direction, fld, post_kind, input_id, rate))
+    return records
 
 
 def write_matrix_csv(path, matrix: ErrorMatrix) -> None:
@@ -422,38 +433,74 @@ def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
     return cells
 
 
-def json_value(value, kind: type):
-    """`value` if JSON gives it as a `kind`: an integer for int, any number
-    for float.  A bool is not a number and a float is never an int."""
+def json_value(value, kind: type, least=None):
+    """`value` if JSON gives it as a `kind` (an integer for int, any number
+    for float, a string for str, an array for list, an object for dict) of
+    at least `least`.  A bool is not a number and a float is never an int."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"must be >= {least}, got {value}")
     return kind(value)
 
 
-def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = ()) -> CampaignConfig:
-    """A config from its JSON form; `inputs` stands in for the file's input
-    specs.  Absent and null fields, and an empty `included_kinds`, take the
-    defaults.  A value of the wrong type, such as 1.7 or true for an integer,
-    is a ValueError naming its field."""
-    defaults = {f.name: f.default for f in fields(CampaignConfig)}
-    unknown = set(d) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
-    kw = {}
-    for name, value in d.items():
-        if value is None or name == "inputs":
-            continue
-        try:
-            if name in ("included_kinds", "bits", "layers") and not isinstance(value, list):
-                raise TypeError(f"expected a list, got {value!r}")
-            if name == "included_kinds":
-                if value:
-                    kw[name] = frozenset(ParamKind(k) for k in value)
-            elif defaults[name] is None:  # bits, layers
-                kw[name] = tuple(json_value(v, int) for v in value)
+def json_list(value, kind: type, length=None) -> tuple:
+    """The items of a JSON array, each a `kind` as `json_value` reads it,
+    and `length` of them if given."""
+    items = tuple(json_value(v, kind) for v in json_value(value, list))
+    if length is not None and len(items) != length:
+        raise ValueError(f"expected {length} items, got {value!r}")
+    return items
+
+
+def json_fields(doc, where: str, parsers: dict, required=()) -> dict:
+    """The non-null fields of the JSON object `doc`, each read by its parser:
+    a function of the value, or a dict of parsers for a nested object, whose
+    fields (and `required` names) are dotted, as in `profile.k_sat`.  A
+    non-object, an unknown or missing required field, or a value its parser
+    rejects is a ValueError naming `where` and the field."""
+    def error(field: str, reason) -> ValueError:
+        return ValueError(f"{where}: field {field!r}: {reason}")
+
+    def read(obj: dict, parsers: dict, prefix: str) -> dict:
+        unknown = obj.keys() - parsers.keys()
+        if unknown:
+            raise error(prefix + min(unknown), f"unknown, expected one of {', '.join(parsers)}")
+        out = {}
+        for name, parse in parsers.items():
+            field, value = prefix + name, obj.get(name)
+            if value is None:
+                if field in required:
+                    raise error(field, "missing")
+            elif isinstance(parse, dict):  # a nested object
+                if not isinstance(value, dict):
+                    raise error(field, f"expected a JSON object, got {value!r}")
+                out[name] = read(value, parse, field + ".")
             else:
-                kw[name] = json_value(value, type(defaults[name]))
-        except (TypeError, ValueError) as e:  # ValueError: an unknown ParamKind
-            raise ValueError(f"campaign config field {name!r}: {e}") from None
+                try:
+                    out[name] = parse(value)
+                except (TypeError, ValueError) as e:
+                    raise error(field, e) from None
+        return out
+
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {doc!r}")
+    return read(doc, parsers, "")
+
+
+def config_from_dict(d: dict, inputs: tuple[Tensor, ...] = (), where: str = "campaign config") -> CampaignConfig:
+    """A config from its JSON form, read by `json_fields`; `inputs` stands
+    in for the file's list of input specs.  Absent and null fields, and an
+    empty `included_kinds`, take the defaults.  A value of the wrong type,
+    such as 1.7 or true for an integer, is a ValueError naming its field."""
+    number, integer = partial(json_value, kind=float), partial(json_value, kind=int)
+    kw = json_fields(d, where, {
+        "e": number, "t": number, "p": number, "cap": integer,
+        "included_kinds": lambda v: frozenset(map(ParamKind, json_list(v, str))) or DEFAULT_CAMPAIGN_KINDS,
+        "sampling": partial(json_value, kind=str), "seed": integer,
+        "inputs": partial(json_value, kind=list),
+        "bits": partial(json_list, kind=int), "layers": partial(json_list, kind=int),
+    })
+    kw.pop("inputs", None)
     return CampaignConfig(**kw, inputs=inputs)

@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands: gen, plan, run, predict, compare, prune, quantize, census.
-Every file-producing command also writes a manifest with content digests
-so outputs are reproducible from (config, seed, model hash).
+Every file-producing command returns what it wrote, and `main` writes its
+manifest (`FILE.manifest.json` for `--out FILE`) with content digests so
+outputs are reproducible from (config, seed, model hash).
 
 Exit codes: 0 success, 1 usage, 2 data/validation, 3 internal.
 """
@@ -15,8 +16,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +58,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(path: Path, command: str, outputs: list[Path], started: float,
+def _write_manifest(command: str, started: float, outputs: list[Path], manifest: Path | None = None,
                     config: dict | None = None, model_hash: str | None = None,
                     seed: int | None = None) -> None:
-    manifest = {
+    """The manifest of one command's `outputs`, at `manifest` or, by
+    default, next to the first output as `<its name>.manifest.json`."""
+    path = manifest or outputs[0].with_name(outputs[0].name + ".manifest.json")
+    doc = {
         "tool": "seusim",
         "version": __version__,
         "command": command,
@@ -72,7 +77,7 @@ def _write_manifest(path: Path, command: str, outputs: list[Path], started: floa
             {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size} for p in outputs
         ],
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _print_fault_space(graph) -> None:
@@ -87,7 +92,7 @@ def _print_fault_space(graph) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> dict:
     graph = zoo.build_unet(
         depth=args.depth,
         base_channels=args.base_channels,
@@ -96,83 +101,69 @@ def cmd_gen(args) -> int:
         activation_kind=args.activation,
         seed=args.seed,
     )
-    started = time.time()
     out = Path(args.out)
     save_model(graph, out)
     print(f"wrote {out} ({out.stat().st_size} bytes, sha256 {_sha256(out)[:16]}...)")
     _print_fault_space(graph)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "gen", [out], started,
-                    config=vars_without(args, "func"), model_hash=model_digest(graph), seed=args.seed)
-    return 0
+    return {"outputs": [out], "config": vars_without(args, "func"), "model_hash": model_digest(graph),
+            "seed": args.seed}
 
 
 def vars_without(args, *skip) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
 
 
-def _load_input_tensor(path: str) -> Tensor:
-    """The image of a .npy file; a file holding anything but a numeric
-    [C, H, W] array is a ValueError naming it."""
+def _load_array(path: str, what: str, axes: str, kinds: str, items: str) -> np.ndarray:
+    """The array of a .npy file; a file holding anything but an array with
+    `axes` of a dtype kind in `kinds` is a ValueError naming it."""
     try:
         with open(path, "rb") as f:
             arr = np.load(f)
     except (ValueError, EOFError):  # not an array numpy reads without unpickling
-        raise ValueError(f"input {path} is not a .npy file") from None
+        raise ValueError(f"{what} {path} is not a .npy file") from None
     if not isinstance(arr, np.ndarray):  # an .npz archive
-        raise ValueError(f"input {path} must be a [C, H, W] array, got a {type(arr).__name__}")
-    if arr.ndim != 3 or arr.dtype.kind not in "biuf":
-        raise ValueError(f"input {path} must be a [C, H, W] array of numbers, got {arr.dtype} shape {arr.shape}")
-    return Tensor(np.asarray(arr, dtype=np.float32), "f32")
+        raise ValueError(f"{what} {path} must be a [{axes}] array, got a {type(arr).__name__}")
+    if arr.ndim != len(axes.split(", ")) or arr.dtype.kind not in kinds:
+        raise ValueError(f"{what} {path} must be a [{axes}] array of {items}, got {arr.dtype} shape {arr.shape}")
+    return arr
 
 
-def _read_json_object(path) -> dict:
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {raw!r}")
-    return raw
+def _load_input_tensor(path: str) -> Tensor:
+    """The image of a .npy file holding a numeric [C, H, W] array."""
+    return Tensor(np.asarray(_load_array(path, "input", "C, H, W", "biuf", "numbers"), dtype=np.float32), "f32")
 
 
-def _resolve_inputs(specs, graph) -> tuple[Tensor, ...]:
-    if specs is None:  # absent or null, as for every config field
-        return ()
-    if not isinstance(specs, list):
-        raise ValueError(f"campaign config field 'inputs': expected a list, got {specs!r}")
-    inputs = []
-    for spec in specs:
-        if isinstance(spec, str):
-            inputs.append(_load_input_tensor(spec))
-        elif isinstance(spec, dict) and "path" in spec:
-            inputs.append(_load_input_tensor(spec["path"]))
-        elif isinstance(spec, dict) and "synthetic" in spec:
-            s = spec["synthetic"]
-            if not isinstance(s, dict):
-                raise ValueError(f"synthetic input spec {s!r}: expected a JSON object")
-            s, size = {"seed": 0, **s}, {}
-            for name, least in (("height", 1), ("width", 1), ("seed", 0)):
-                field = f"synthetic input spec field {name!r}"
-                if name not in s:
-                    raise ValueError(f"{field}: missing")
-                try:
-                    size[name] = camp.json_value(s.pop(name), int)
-                except TypeError as e:
-                    raise ValueError(f"{field}: {e}") from None
-                if size[name] < least:
-                    raise ValueError(f"{field}: must be >= {least}, got {size[name]}")
-            if s:
-                raise ValueError(f"synthetic input spec field {min(s)!r}: unknown, expected height, width or seed")
-            inputs.append(zoo.synthetic_input(graph, **size))
-        else:
-            raise ValueError(f"unrecognized input spec: {spec!r}")
-    return tuple(inputs)
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+INPUT_SPEC_FIELDS = {"path": partial(camp.json_value, kind=str), "synthetic": partial(camp.json_value, kind=dict)}
+SYNTHETIC_FIELDS = {name: partial(camp.json_value, kind=int, least=least)
+                    for name, least in (("height", 1), ("width", 1), ("seed", 0))}
+
+
+def _read_input(spec, graph, where: str) -> Tensor:
+    """The image of one input spec: a .npy path, given as a string or as
+    `{"path": ...}`, or `{"synthetic": {"height", "width", "seed"}}`."""
+    spec = camp.json_fields({"path": spec} if isinstance(spec, str) else spec, where, INPUT_SPEC_FIELDS)
+    if len(spec) != 1:
+        raise ValueError(f"{where}: expected one of the fields path and synthetic, got {sorted(spec)}")
+    if "path" in spec:
+        return _load_input_tensor(spec["path"])
+    size = camp.json_fields(spec["synthetic"], f"{where}, synthetic", SYNTHETIC_FIELDS,
+                            required=("height", "width"))
+    return zoo.synthetic_input(graph, **size)
 
 
 def _load_campaign(args, graph):
-    raw = _read_json_object(args.config)
-    return camp.config_from_dict(raw, _resolve_inputs(raw.get("inputs"), graph)), raw
+    where = f"campaign config {args.config}"
+    raw = _read_json(args.config)
+    config = camp.config_from_dict(raw, where=where)
+    inputs = [_read_input(spec, graph, f"{where}, input {i}") for i, spec in enumerate(raw.get("inputs") or ())]
+    return replace(config, inputs=tuple(inputs)), raw
 
 
-def cmd_plan(args) -> int:
-    started = time.time()
+def cmd_plan(args) -> dict | None:
     graph = load_model(args.model)
     config, raw_config = _load_campaign(args, graph)
     cplan = camp.plan(graph, config)
@@ -185,13 +176,11 @@ def cmd_plan(args) -> int:
         camp.write_table(out, ("layer_id", "fault_space", "injections"),
                          ((e.layer_id, e.fault_space, e.injections) for e in cplan.entries))
         print(f"wrote {out}")
-        _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "plan", [out], started,
-                        config=raw_config, model_hash=model_digest(graph), seed=config.seed)
-    return 0
+        return {"outputs": [out], "config": raw_config, "model_hash": model_digest(graph), "seed": config.seed}
+    return None
 
 
-def cmd_run(args) -> int:
-    started = time.time()
+def cmd_run(args) -> dict:
     graph = load_model(args.model)
     config, raw_config = _load_campaign(args, graph)
     records, matrix = camp.run_campaign(graph, config, jobs=args.jobs)
@@ -210,13 +199,11 @@ def cmd_run(args) -> int:
         "jobs": args.jobs,
     }
     manifest_path = out_dir / "manifest.json"
-    _write_manifest(manifest_path, "run", [records_path, matrix_path], started,
-                    config={**raw_config, "summary": summary},
-                    model_hash=model_digest(graph), seed=config.seed)
     print(f"{matrix.count} injections: mean error {matrix.mean:.4%}, "
           f"mean nonzero {matrix.mean_nonzero:.4%}")
     print(f"wrote {records_path}, {matrix_path}, {manifest_path}")
-    return 0
+    return {"outputs": [records_path, matrix_path], "manifest": manifest_path,
+            "config": {**raw_config, "summary": summary}, "model_hash": model_digest(graph), "seed": config.seed}
 
 
 def _signs_from_text(text: str) -> tuple[str, ...]:
@@ -231,13 +218,12 @@ def _signs_from_text(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def cmd_predict(args) -> int:
-    started = time.time()
+def cmd_predict(args) -> dict:
     if args.golden is not None:
         if args.model is None:
             raise ValueError("--golden needs --model to read the classifier biases")
         graph = load_model(args.model)
-        golden = np.load(args.golden)
+        golden = _load_array(args.golden, "golden map", "H, W", "iu", "integers")
         freqs = errormodel.class_frequencies(golden.astype(np.int64), graph.n_classes)
         bias = graph.nodes[-1].params[zoo.ParamKind.ConvBias]
         signs = errormodel.bias_signs(bias.data.astype(np.float32))
@@ -265,45 +251,26 @@ def cmd_predict(args) -> int:
     print(f"expected exponent-MSB error: {report['expected_msb_error']:.4%}")
     print(f"expected quantized error ({args.weighting}): {report['expected_quantized_error']:.4%}")
     print(f"wrote {out}")
-    _write_manifest(out.with_suffix(".manifest.json"), "predict", [out], started,
-                    config=vars_without(args, "func"))
-    return 0
+    return {"outputs": [out], "config": vars_without(args, "func")}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+_number, _numbers = partial(camp.json_value, kind=float), partial(camp.json_list, kind=float)
+PREDICTION_FIELDS = {  # those of errormodel.prediction_report
+    "class_frequencies": _numbers, "bias_signs": partial(camp.json_list, kind=str), "p_fi": _numbers,
+    "contributions": _numbers, "expected_msb_error": _number, "expected_quantized_error": _number,
+    "measured_msb_error": _number, "msb_abs_deviation": _number,
+    "profile": {"k_sat": partial(camp.json_value, kind=int), "weighting": partial(camp.json_value, kind=str),
+                "bit_range": partial(camp.json_list, kind=int, length=2)},
+}
 
 
-def _prediction_field(d: dict, name: str, expected: str, ok, prefix: str = ""):
-    """`d[name]` if `ok` accepts it; otherwise a ValueError naming the field."""
-    value = d.get(name)
-    if not ok(value):
-        raise ValueError(f"prediction field {prefix + name!r}: expected {expected}, got {value!r}")
-    return value
-
-
-def _prediction_profile(report: dict) -> errormodel.SaturationProfile:
-    prof = _prediction_field(report, "profile", "an object", lambda v: isinstance(v, dict))
-    field = lambda name, expected, ok: _prediction_field(prof, name, expected, ok, "profile.")
-    return errormodel.SaturationProfile(
-        k_sat=field("k_sat", "an integer", _is_int),
-        bit_range=tuple(field("bit_range", "a list of two integers",
-                              lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))),
-        weighting=field("weighting", "a string", lambda v: isinstance(v, str)),
-    )
-
-
-def cmd_compare(args) -> int:
-    started = time.time()
+def cmd_compare(args) -> dict:
     cells = camp.read_matrix_csv(args.matrix)
     if not cells:
         raise ValueError("matrix file has no cells")
-    report = _read_json_object(args.prediction)
-    expected_error = {
-        name: float(_prediction_field(report, name, "a number", lambda v: _is_int(v) or isinstance(v, float)))
-        for name in ("expected_msb_error", "expected_quantized_error") if name in report
-    }
-    prof = _prediction_profile(report) if "profile" in report else None
+    report = camp.json_fields(_read_json(args.prediction), f"prediction {args.prediction}", PREDICTION_FIELDS,
+                              required=tuple(f"profile.{k}" for k in PREDICTION_FIELDS["profile"]))
+    prof = errormodel.SaturationProfile(**report["profile"]) if "profile" in report else None
     layer = args.layer if args.layer is not None else max(lid for lid, _ in cells)
 
     def comparison(quantity: str, expected: float, measured: float) -> dict:
@@ -311,15 +278,15 @@ def cmd_compare(args) -> int:
                 "abs_deviation": abs(measured - expected)}
 
     comparisons = []
-    if (layer, 30) in cells and "expected_msb_error" in expected_error:
-        comparisons.append(comparison("exponent_msb_error", expected_error["expected_msb_error"],
+    if (layer, 30) in cells and "expected_msb_error" in report:
+        comparisons.append(comparison("exponent_msb_error", report["expected_msb_error"],
                                       cells[layer, 30].mean))
-    if prof is not None and "expected_quantized_error" in expected_error:
+    if prof is not None and "expected_quantized_error" in report:
         bits = prof.bits().tolist()
         if all((layer, b) in cells for b in bits):
             measured = errormodel.measured_weighted_rate([cells[layer, b].mean for b in bits], prof)
             comparisons.append(comparison("weighted_quantized_error",
-                                          expected_error["expected_quantized_error"], measured))
+                                          report["expected_quantized_error"], measured))
     if not comparisons:
         raise ValueError(f"no overlap between matrix cells and prediction (layer {layer})")
 
@@ -331,28 +298,26 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.write_text(json.dumps({"halfwidth": args.halfwidth, "comparisons": comparisons}, indent=2) + "\n")
     print(f"wrote {out}")
-    _write_manifest(out.with_suffix(".manifest.json"), "compare", [out], started,
-                    config=vars_without(args, "func"))
-    return 0
+    return {"outputs": [out], "config": vars_without(args, "func")}
 
 
 def _param_count(graph) -> int:
     return sum(t.size for n in graph.nodes for t in n.params.values())
 
 
-def cmd_prune(args) -> int:
-    started = time.time()
+def _ratios(value) -> dict[int, float]:
+    ratios = {}
+    for k, v in camp.json_value(value, dict).items():
+        if not k.isdecimal():
+            raise ValueError(f"layer id {k!r} is not a non-negative integer")
+        ratios[int(k)] = camp.json_value(v, float)
+    return ratios
+
+
+def cmd_prune(args) -> dict:
     graph = load_model(args.model)
-    ratios = _read_json_object(args.plan).get("ratios", {})
-    try:
-        if not isinstance(ratios, dict):
-            raise TypeError(f"expected a JSON object, got {ratios!r}")
-        for k in ratios:
-            if not k.isdecimal():
-                raise TypeError(f"layer id {k!r} is not a non-negative integer")
-        ratios = {int(k): camp.json_value(v, float) for k, v in ratios.items()}
-    except TypeError as e:
-        raise ValueError(f"{args.plan}: field 'ratios': {e}") from None
+    plan = camp.json_fields(_read_json(args.plan), f"prune plan {args.plan}", {"ratios": _ratios})
+    ratios = plan.get("ratios", {})
     pruned = compress.apply_prune(graph, compress.PruningPlan(ratios))
     out = Path(args.out)
     save_model(pruned, out)
@@ -363,13 +328,10 @@ def cmd_prune(args) -> int:
     print(f"parameters: {before} -> {after}")
     print(f"fault space N: {space_before} -> {space_after}")
     print(f"wrote {out}")
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "prune", [out], started,
-                    config={"ratios": ratios}, model_hash=model_digest(graph))
-    return 0
+    return {"outputs": [out], "config": {"ratios": ratios}, "model_hash": model_digest(graph)}
 
 
-def cmd_quantize(args) -> int:
-    started = time.time()
+def cmd_quantize(args) -> dict:
     graph = load_model(args.model)
     model_hash = model_digest(graph)  # of the input, not of its folded form
     if any(n.kind == "batch_norm" for n in graph.nodes):
@@ -388,13 +350,11 @@ def cmd_quantize(args) -> int:
     space = zoo.enumerate_fault_space(quantized, zoo.DEFAULT_CAMPAIGN_KINDS).total()
     print(f"fault space N: {space}")
     print(f"wrote {out}")
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "quantize", [out], started,
-                    config=vars_without(args, "func"), model_hash=model_hash, seed=args.calib_seed)
-    return 0
+    return {"outputs": [out], "config": vars_without(args, "func"), "model_hash": model_hash,
+            "seed": args.calib_seed}
 
 
-def cmd_census(args) -> int:
-    started = time.time()
+def cmd_census(args) -> dict:
     graph = load_model(args.model)
     out_dir = _out_dir(args)
     ranges_path = out_dir / "census_ranges.csv"
@@ -405,9 +365,8 @@ def cmd_census(args) -> int:
         astuple(c) for bit in inject.PARTIAL_EXPONENT_BITS
         for _, c in sorted(inject.partial_exponent_census(graph, bit).items())])
     print(f"wrote {ranges_path}, {partial_path}")
-    _write_manifest(out_dir / "census_manifest.json", "census", [ranges_path, partial_path],
-                    started, model_hash=model_digest(graph))
-    return 0
+    return {"outputs": [ranges_path, partial_path], "manifest": out_dir / "census_manifest.json",
+            "model_hash": model_digest(graph)}
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +458,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    started = time.time()
     try:
-        return args.func(args)
+        wrote = args.func(args)  # what the command wrote, for its manifest, or None
+        if wrote is not None:
+            _write_manifest(args.command, started, **wrote)
+        return 0
     except (ValueError, KeyError, ModelFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

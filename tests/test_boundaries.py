@@ -59,3 +59,25 @@ def test_private_uses_finds_both_forms():
     )
     assert sorted(private_uses(source)) == [
         "camp._json_value", "errormodel._p_fi", "from .model import _execute", "zoo._logits"]
+
+
+def _calls(tree, owner: str, name: str) -> list[str]:
+    """Names of the top-level functions of `tree` that call `owner.name`
+    (or `name`, when `owner` is empty)."""
+    found = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                f = node.func if isinstance(node, ast.Call) else None
+                if (isinstance(f, ast.Name) and not owner and f.id == name) or (
+                        isinstance(f, ast.Attribute) and f.attr == name
+                        and isinstance(f.value, ast.Name) and f.value.id == owner):
+                    found.append(fn.name)
+    return found
+
+
+def test_main_alone_writes_manifests_and_takes_the_time():
+    # one manifest rule and one start time for every subcommand
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert _calls(tree, "", "_write_manifest") == ["main"]
+    assert [f for f in _calls(tree, "time", "time") if f.startswith("cmd_")] == []

@@ -431,6 +431,12 @@ class TestSerialization:
         ([VALID_RECORD.replace("ConvWeight", "ConvWieght")],
          ", line 2, column 'kind': expected ParamKind, got 'ConvWieght'"),
         ([VALID_RECORD.replace(",3,30,", ",1.5,30,")], ", line 2, column 'index': expected int, got '1.5'"),
+        (["0,ConvWeight,3,30,zero_to_one,exponent,0a,0000000a,finite,0,0.25"],
+         ", line 2, column 'post_bits': 32-bit pattern after 8-bit pre_bits"),
+        (["0,ConvWeight,3,8,zero_to_one,sign,0a,0a,finite,0,0.25"], ", line 2, column 'bit': 8 outside the 8-bit pattern"),
+        ([VALID_RECORD.replace(",30,", ",-1,")], ", line 2, column 'bit': -1 outside the 32-bit pattern"),
+        ([VALID_RECORD, VALID_RECORD.replace("7e800000", "3e800001")],
+         ", line 3, column 'post_bits': expected pre_bits with bit 30 flipped, 7e800000, got 3e800001"),
     ])
     def test_malformed_records_name_file_line_and_column(self, tmp_path, rows, named):
         path = tmp_path / "records.csv"

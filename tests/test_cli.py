@@ -122,10 +122,18 @@ class TestPlanRun:
         ({"inputs": [{"synthetic": {"width": 8}}]}, "field 'height': missing"),
         ({"inputs": [{"synthetic": {"height": 8}}]}, "field 'width': missing"),
         ({"inputs": [{"synthetic": {"height": 8, "width": 8, "sead": 3}}]}, "field 'sead': unknown"),
-        ({"inputs": [{"synthetic": 8}]}, "synthetic input spec 8"),
+        ({"inputs": [{"synthetic": 8}]}, "field 'synthetic': expected dict, got 8"),
         ({"e": 1.5}, "error margin e"),
         ({"p": 0}, "failure probability p"),
         ({"cap": 0}, "cap must be >= 1"),
+        ({"inputs": [{"path": 0}]}, "input 0: field 'path': expected str, got 0"),
+        ({"inputs": [{"path": True}]}, "input 0: field 'path': expected str, got True"),
+        ({"inputs": [{"path": "x.npy", "sead": 3}]}, "input 0: field 'sead': unknown"),
+        ({"inputs": [{"synthetic": {"height": 8, "width": 8}}, 5]}, "input 1: expected a JSON object, got 5"),
+        ({"inputs": [{}]}, "input 0: expected one of the fields path and synthetic, got []"),
+        ({"inputs": [{"path": "x.npy", "synthetic": {"height": 8, "width": 8}}]},
+         "input 0: expected one of the fields path and synthetic, got ['path', 'synthetic']"),
+        ({"bogus": 1}, "field 'bogus': unknown"),
     ])
     def test_config_errors_exit_2_on_plan_and_run(self, tmp_path, model_file, capsys, config, named):
         cfg = tmp_path / "c.json"
@@ -271,6 +279,22 @@ class TestPredictCompare:
         assert report["class_frequencies"] == class_frequencies(golden, 6).tolist()
         assert report["bias_signs"] == list(bias_signs(g.nodes[-1].params[ParamKind.ConvBias].data))
 
+    @pytest.mark.parametrize("name, save, named", [
+        ("g.npz", lambda p: np.savez(p, g=np.zeros((16, 16), np.int64)), "[H, W] array, got a NpzFile"),
+        ("g.npy", lambda p: np.save(p, np.full((16, 16), 2.7)), "[H, W] array of integers, got float64 shape (16, 16)"),
+        ("g.npy", lambda p: np.save(p, np.zeros((1, 16, 16), np.int64)),
+         "[H, W] array of integers, got int64 shape (1, 16, 16)"),
+        ("g.npy", lambda p: np.save(p, np.zeros((16, 16), bool)), "[H, W] array of integers, got bool"),
+        ("g.npy", lambda p: p.write_text("0 1 2"), "is not a .npy file"),
+    ], ids=["npz", "float", "3d", "bool", "text"])
+    def test_golden_map_must_be_integer_hw(self, tmp_path, model_file, capsys, name, save, named):
+        golden = tmp_path / name
+        save(golden)
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--golden", golden, "--model", model_file, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: golden map {golden} ") and named in err and not out.exists()
+
     def test_predict_without_inputs_is_error(self, tmp_path):
         assert run_cli("predict", "--out", tmp_path / "p.json") == 2
 
@@ -361,7 +385,7 @@ class TestPredictCompare:
         capsys.readouterr()
         assert run_cli("compare", "--matrix", matrix, "--prediction", pred,
                        "--out", tmp_path / "cmp.json") == 2
-        assert f"prediction field {named}" in capsys.readouterr().err
+        assert f"prediction {pred}: field {named}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows, named", [
         (["2,30,6,0.34"], ", line 2, column 'std': missing"),
@@ -416,6 +440,8 @@ class TestPruneQuantize:
         ({"ratios": {"0": True}}, "'ratios'"),
         ({"ratios": {"x": 0.5}}, "plan.json: field 'ratios': layer id 'x'"),
         ({"ratios": {"1.0": 0.5}}, "plan.json: field 'ratios': layer id '1.0'"),
+        ({"ratio": {"0": 0.5}}, "plan.json: field 'ratio': unknown"),
+        ({"ratios": {"0": 0.5}, "seed": 1}, "plan.json: field 'seed': unknown"),
     ])
     def test_malformed_prune_plan_is_data_error(self, tmp_path, model_file, capsys, content, named):
         plan = tmp_path / "plan.json"
@@ -496,6 +522,9 @@ class TestManifests:
             ["run", "--model", "m.bin", "--config", cfg, "--out-dir", "run"],
             ["predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
              "--out", "p.json"],
+            # the manifest of --out FILE is FILE.manifest.json, so it does not replace gen's
+            ["predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
+             "--out", "m.bin.json"],
             ["compare", "--matrix", "run/matrix.csv", "--prediction", "p.json", "--out", "cmp.json"],
             ["prune", "--model", "m.bin", "--plan", prune_plan, "--out", "pruned.bin"],
             ["quantize", "--model", "m.bin", "--out", "q.bin", "--calib-synthetic", 1, "--size", 16, 16],
