@@ -23,9 +23,13 @@ and the caller's model, read-only.  An injection recomputes only the one
 output channel its parameter feeds, from the fault's own faulted copy of
 the channel's parameter slice, splices it into a copy of that node's
 golden output, and runs the node's descendants in full
-(`seusim.model.faulted_classes`).  The class map is bit-identical to a
-full forward pass: each channel's sum is independent of the other
-filters, and a one-filter slice reduces over (c, i, j) in the same order.
+(`seusim.model.faulted_classes`).  The golden run also keeps the output
+conv's sums before its bias, so a fault in one of its biases recomputes
+no conv: it finishes a copy of its class channel's golden sums with the
+faulted bias.  The class map is bit-identical to a full forward pass:
+each channel's sum is independent of the other filters, a one-filter
+slice reduces over (c, i, j) in the same order, and the bias is added
+after the sums.
 Each injection is one task.  At jobs = 1 they run in plan order on the
 caller's thread; at jobs > 1 a thread pool hands the next injection to
 whichever worker is idle, so the costly early layers spread without a

@@ -133,8 +133,13 @@ def _load_input_tensor(path: str) -> Tensor:
     return Tensor(np.asarray(_load_array(path, "input", "C, H, W", "biuf", "numbers"), dtype=np.float32), "f32")
 
 
-def _read_json(path):
-    return json.loads(Path(path).read_text())
+def _read_json(path, where: str):
+    """The JSON document in file `path`; text that is not JSON is a
+    ValueError naming `where`, the document and its file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+        raise ValueError(f"{where}: not a JSON document: {e}") from None
 
 
 INPUT_SPEC_FIELDS = {"path": partial(camp.json_value, kind=str), "synthetic": partial(camp.json_value, kind=dict)}
@@ -157,7 +162,7 @@ def _read_input(spec, graph, where: str) -> Tensor:
 
 def _load_campaign(args, graph):
     where = f"campaign config {args.config}"
-    raw = _read_json(args.config)
+    raw = _read_json(args.config, where)
     config = camp.config_from_dict(raw, where=where)
     inputs = [_read_input(spec, graph, f"{where}, input {i}") for i, spec in enumerate(raw.get("inputs") or ())]
     return replace(config, inputs=tuple(inputs)), raw
@@ -224,7 +229,10 @@ def cmd_predict(args) -> dict:
             raise ValueError("--golden needs --model to read the classifier biases")
         graph = load_model(args.model)
         golden = _load_array(args.golden, "golden map", "H, W", "iu", "integers")
-        freqs = errormodel.class_frequencies(golden.astype(np.int64), graph.n_classes)
+        try:
+            freqs = errormodel.class_frequencies(golden.astype(np.int64), graph.n_classes)
+        except ValueError as e:
+            raise ValueError(f"golden map {args.golden}: {e}") from None
         bias = graph.nodes[-1].params[zoo.ParamKind.ConvBias]
         signs = errormodel.bias_signs(bias.data.astype(np.float32))
     elif args.freqs is not None:
@@ -268,7 +276,8 @@ def cmd_compare(args) -> dict:
     cells = camp.read_matrix_csv(args.matrix)
     if not cells:
         raise ValueError("matrix file has no cells")
-    report = camp.json_fields(_read_json(args.prediction), f"prediction {args.prediction}", PREDICTION_FIELDS,
+    where = f"prediction {args.prediction}"
+    report = camp.json_fields(_read_json(args.prediction, where), where, PREDICTION_FIELDS,
                               required=tuple(f"profile.{k}" for k in PREDICTION_FIELDS["profile"]))
     prof = errormodel.SaturationProfile(**report["profile"]) if "profile" in report else None
     layer = args.layer if args.layer is not None else max(lid for lid, _ in cells)
@@ -316,7 +325,8 @@ def _ratios(value) -> dict[int, float]:
 
 def cmd_prune(args) -> dict:
     graph = load_model(args.model)
-    plan = camp.json_fields(_read_json(args.plan), f"prune plan {args.plan}", {"ratios": _ratios})
+    where = f"prune plan {args.plan}"
+    plan = camp.json_fields(_read_json(args.plan, where), where, {"ratios": _ratios})
     ratios = plan.get("ratios", {})
     pruned = compress.apply_prune(graph, compress.PruningPlan(ratios))
     out = Path(args.out)

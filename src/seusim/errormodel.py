@@ -33,8 +33,9 @@ def class_frequencies(golden: np.ndarray, n_classes: int) -> np.ndarray:
     flat = np.asarray(golden).reshape(-1)
     if flat.size == 0:
         raise ValueError("empty class map")
-    if flat.min() < 0 or flat.max() >= n_classes:
-        raise ValueError("class index out of range")
+    bad = flat[(flat < 0) | (flat >= n_classes)]
+    if bad.size:
+        raise ValueError(f"class id {bad[0]} out of range for {n_classes} classes")
     return np.bincount(flat, minlength=n_classes) / flat.size
 
 

@@ -40,7 +40,9 @@ class FaultLocation:
 
 class FlipClassification(NamedTuple):
     """Immutable; a NamedTuple because one is built per flip, and a frozen
-    dataclass costs several times as much to construct."""
+    dataclass costs several times as much to construct.  `_flip` builds it
+    with `tuple.__new__`, which skips the NamedTuple's own `__new__`, a
+    Python function that doubles the cost."""
 
     field: str  # sign | exponent | mantissa (f32); sign | magnitude (int)
     direction: str  # zero_to_one | one_to_zero
@@ -54,9 +56,10 @@ _TWO_U32 = struct.Struct("<2I")
 _TWO_F32 = struct.Struct("<2f")
 
 
-def _flip(raw: np.ndarray, index: int, bit: int, dtype: str) -> tuple[int, int, FlipClassification]:
+def _flip(raw: np.ndarray, index: int | tuple, bit: int, dtype: str) -> tuple[int, int, FlipClassification]:
     """Toggle `bit` of element `index` of `raw`, an unsigned view of a
-    `dtype` tensor, in place.  Returns (pre_bits, post_bits, classification)."""
+    `dtype` tensor, in place; `index` is a flat index, or () for a 0-d view.
+    Returns (pre_bits, post_bits, classification)."""
     width = BIT_WIDTHS[dtype]
     if not 0 <= bit < width:
         raise ValueError(f"bit {bit} out of range for {dtype}")
@@ -71,12 +74,12 @@ def _flip(raw: np.ndarray, index: int, bit: int, dtype: str) -> tuple[int, int, 
         else:
             post_kind = "finite"
         pre_value, post_value = _TWO_F32.unpack(_TWO_U32.pack(pre, post))
-        return pre, post, FlipClassification(fld, direction, pre_value, post_value, post_kind)
+        return pre, post, tuple.__new__(FlipClassification, (fld, direction, pre_value, post_value, post_kind))
     sign = 1 << (width - 1)  # two's complement: the sign bit weighs -2**(width - 1)
     fld = "sign" if bit == width - 1 else "magnitude"
-    return pre, post, FlipClassification(
+    return pre, post, tuple.__new__(FlipClassification, (
         fld, direction, float(pre - 2 * (pre & sign)), float(post - 2 * (post & sign)), "finite"
-    )
+    ))
 
 
 def flip_bit(value, dtype: str, bit: int):
@@ -84,11 +87,11 @@ def flip_bit(value, dtype: str, bit: int):
 
     Returns (new_value, FlipClassification).
     """
-    # a one-element array, never a Python float: that would quiet a signalling NaN
-    cell = np.empty(1, DTYPES[dtype])
-    cell[0] = value
-    _, _, cls = _flip(cell.view(RAW_VIEWS[dtype]), 0, bit, dtype)
-    return cell[0], cls
+    # a 0-d array, never a Python float: that would quiet a signalling NaN
+    cell = np.empty((), DTYPES[dtype])
+    cell[()] = value
+    _, _, cls = _flip(cell.view(RAW_VIEWS[dtype]), (), bit, dtype)
+    return cell[()], cls
 
 
 @dataclass

@@ -23,6 +23,8 @@ from .tensor import (
     batch_norm,
     concat_channels,
     conv2d,
+    conv2d_finish,
+    conv2d_sums,
     max_pool2,
     quantize_affine,
     upsample2,
@@ -282,6 +284,9 @@ class GoldenTrace:
     """Fault-free activations of a model on one input, shared read-only by
     every faulted forward of a campaign.
 
+    `sums` holds the output conv's sums before its bias (`conv2d_sums`,
+    [1, n_classes, H, W], float64 or int32), so a fault in one of its
+    biases finishes one class channel from them instead of running a conv.
     `top` holds, per pixel, the largest class key (`k1`), the lowest class
     that reaches it (`c1`), and the same over the other classes (`k2`, `c2`).
     A fault in output channel o then only has to beat the best of the other
@@ -291,15 +296,26 @@ class GoldenTrace:
 
     x: Tensor  # prepared model input
     produced: dict[int, Tensor]
+    sums: np.ndarray
     classes: np.ndarray
     top: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _first_input(n: LayerNode, produced: dict[int, Tensor], x: Tensor) -> Tensor:
+    """What node `n` reads first: a producer's output in `produced`, or `x`."""
+    return produced[n.inputs[0]] if n.inputs else x
 
 
 def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
     """Run the fault-free graph on `x` once, keeping what faulted forwards reuse."""
     v = _prepare_input(graph, x)
-    produced = run_model_trace(graph, v)
-    logits = _logits(produced[graph.nodes[-1].id])
+    *body, head = graph.nodes
+    produced = _execute(body, v, {})
+    src = _first_input(head, produced, v)
+    weight, bias = head.params[ParamKind.ConvWeight], head.params[ParamKind.ConvBias]
+    sums = conv2d_sums(src, weight, head.stride, head.padding)
+    produced[head.id] = conv2d_finish(sums, src, weight, bias, head.out_quant)
+    logits = _logits(produced[head.id])
     top = None
     if graph.n_classes > 1:
         key = _class_keys(logits.data)
@@ -311,14 +327,14 @@ def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
         c2 = np.argmax(rest, axis=0)
         k2 = np.take_along_axis(rest, c2[None], axis=0)[0]
         top = (k1, c1.astype(np.int32), k2, c2.astype(np.int32))
-    return GoldenTrace(v, produced, argmax_classes(logits), top)
+    return GoldenTrace(v, produced, sums, argmax_classes(logits), top)
 
 
 def _one_channel(n: LayerNode, fault: ChannelFault, golden: GoldenTrace) -> Tensor:
     """Output channel `fault.channel` of node `n` on golden inputs, computed by
     the node's own kernel on the faulted one-filter or one-channel slice."""
     c = fault.channel
-    src = golden.produced[n.inputs[0]] if n.inputs else golden.x
+    src = _first_input(n, golden.produced, golden.x)
     if n.kind == "batch_norm":
         src = Tensor(src.data[:, c : c + 1], src.dtype, src.quant)
     params = {k: Tensor(t.data[c : c + 1], t.dtype, t.quant) for k, t in n.params.items()}
@@ -364,29 +380,51 @@ def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) 
     return replay(graph, golden, layer_id, Tensor(spliced, base.dtype, base.quant))
 
 
+def _bit_select(mask: np.ndarray, a: np.ndarray, b) -> np.ndarray:
+    """`np.where(mask, b, a)` for 4-byte `a` and `b`, as a ^ ((a ^ b) & -mask)
+    on their int32 views: exact for every bit pattern, -0.0, infinities and
+    NaN payloads included, and without the branch on each element that
+    makes `np.where` slow on a mask that follows the data."""
+    ones = mask.astype(np.int32)
+    np.negative(ones, out=ones)  # 0 or all ones
+    a = a.view(np.int32)
+    out = np.bitwise_xor(a, b.view(np.int32))
+    out &= ones
+    out ^= a
+    return out
+
+
 def faulted_classes(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> np.ndarray:
     """`argmax_classes(faulted_logits(...))`, bit for bit.
 
     A fault in the output node changes one class channel only; it is then
-    ranked against the golden top two keys instead of every class.
+    ranked against the golden top two keys instead of every class.  A bias
+    fault there finishes the golden sums of that channel with the faulted
+    bias instead of running the conv: the bias is added after the sums.
     """
-    last = graph.nodes[-1].id
-    if fault.location.layer_id != last or golden.top is None:
+    head = graph.nodes[-1]
+    if fault.location.layer_id != head.id or golden.top is None:
         return argmax_classes(faulted_logits(graph, golden, fault))
     channel = fault.channel
-    new = _one_channel(graph.node(last), fault, golden).data[0, 0]
+    if fault.location.kind is ParamKind.ConvBias:
+        src = _first_input(head, golden.produced, golden.x)
+        new = conv2d_finish(golden.sums[:, channel : channel + 1], src, head.params[ParamKind.ConvWeight],
+                            fault.param, head.out_quant)
+    else:
+        new = _one_channel(head, fault, golden)
+    new = new.data[0, 0]
     key = _class_keys(new)
     k1, c1, k2, c2 = golden.top
     was_top = c1 == channel
-    rival = np.where(was_top, k2, k1)  # best key over the other classes
-    holder = np.where(was_top, c2, c1)  # lowest class holding it
+    rival = _bit_select(was_top, k1, k2).view(key.dtype)  # best key over the other classes
+    holder = _bit_select(was_top, c1, c2)  # lowest class holding it
     wins = (key > rival) | ((key == rival) & (channel < holder))
-    classes = np.where(wins, np.int32(channel), holder)
+    classes = _bit_select(wins, holder, np.int32(channel))
     if new.dtype == np.float32:
         # where every key is -inf, argmax_classes ranks NaN below -inf
         low = np.maximum(key, rival) == -np.inf
         if low.any():
-            logits = golden.produced[last].data[0].copy()
+            logits = golden.produced[head.id].data[0].copy()
             logits[channel] = new
             classes[low] = argmax_classes(Tensor(logits, "f32"))[low]
     return classes
@@ -589,7 +627,7 @@ def build_bias_probe_model(
     `bias_values` bit-exactly.  The golden map then predicts class m on
     the fraction of pixels requested by `class_freqs`.
     """
-    bias_values = np.asarray(bias_values, dtype=np.float32)
+    bias_values = np.array(bias_values, dtype=np.float32)  # a copy: the model owns its parameters
     freqs = probabilities(class_freqs, "class_freqs")
     if bias_values.shape != freqs.shape:
         raise ValueError("bias_values and class_freqs must be equal-length vectors")
@@ -607,19 +645,20 @@ def build_bias_probe_model(
     for m in range(n):
         template[m][owner == m] = TEMPLATE_GAIN
 
-    eye = np.eye(n, dtype=np.float32).reshape(n, n, 1, 1)
+    # a fresh identity per layer: layers sharing one buffer would share an in-place fault
+    eye = lambda: tensor32(np.eye(n).reshape(n, n, 1, 1))
     nodes = [
         LayerNode(
             id=0,
             kind="conv",
-            params={ParamKind.ConvWeight: tensor32(eye), ParamKind.ConvBias: tensor32(np.zeros(n))},
+            params={ParamKind.ConvWeight: eye(), ParamKind.ConvBias: tensor32(np.zeros(n))},
             inputs=[],
         ),
         LayerNode(id=1, kind="activation", inputs=[0], act="relu"),
         LayerNode(
             id=2,
             kind="conv",
-            params={ParamKind.ConvWeight: tensor32(eye), ParamKind.ConvBias: Tensor(bias_values, "f32")},
+            params={ParamKind.ConvWeight: eye(), ParamKind.ConvBias: Tensor(bias_values, "f32")},
             inputs=[1],
         ),
     ]

@@ -13,15 +13,22 @@ float64 scratch per call, so per worker thread), which the two-operand
 ``np.einsum("ok,kp->op", ...)`` reduces.  Called without ``optimize=``,
 einsum runs numpy's own C loops: no BLAS and no threads.  Every output is
 accumulated in float64 from 0 over (c, i, j) in row-major order, the bias
-is added last, and the sum is rounded once to float32.
+is added last, and the sum is rounded once to float32.  The sums before the
+bias are a public half of their own (`conv2d_sums`), so a caller that keeps
+them can finish a channel with another bias (`conv2d_finish`) without
+running the conv again.
 
 The int8 conv runs one float64 GEMM per kernel tap over a shifted view of
 the padded input (kn2row), with no im2col copy.  Its sums are integers far
-below 2**53, exact in any order, so BLAS may reorder them freely; each
-BLAS call does at most 2**18 multiply-adds, which OpenBLAS runs on the
-calling thread.  The int32 bias is added in int32, then the sums are
-requantized.  Requantizing int8 codes, in a concat or an activation, is a
-gather through a 256-entry table.
+below 2**53, exact in any order, so BLAS may reorder them freely.  Each
+BLAS call does at most 2**18 multiply-adds.  OpenBLAS runs a GEMM of that
+size on the calling thread, but a one-filter slice makes each call a GEMV,
+which OpenBLAS threads once m*n reaches 9216: a (1, 24) @ (24, 10922) call
+reads about 1.1 CPU seconds per wall second on 2 CPUs, and 1.0 with
+OPENBLAS_NUM_THREADS=1.  Thread count never changes a bit of the sums.
+The int32 bias is added in int32, then the sums are requantized.
+Requantizing int8 codes, in a concat or an activation, is a gather through
+a 256-entry table.
 """
 
 from __future__ import annotations
@@ -172,17 +179,16 @@ def lookup_codes(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
 # im2col scratch per block, in elements: 2**16 float64 values is 512 KB
 _IM2COL_BLOCK = 1 << 16
 
-# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM or
-# GEMV of this size on the calling thread, so no BLAS helper thread spins
-# beside a campaign's own workers.
+# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM of
+# this size on the calling thread; a one-filter GEMV may still be threaded.
 _GEMM_MACS = 1 << 18
 
 
-def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
-    """Float convolution sums of NCHW f32 `x` with `w`, plus `b`, in float64.
+def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+    """Float convolution sums of NCHW f32 `x` with `w`, in float64.
 
-    Each output is 0 + sum of x*w over (c, i, j) in row-major order, then
-    + b.  Zero padding is applied to `x` as given.
+    Each output is 0 + sum of x*w over (c, i, j) in row-major order.  Zero
+    padding is applied to `x` as given.
     """
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
@@ -216,14 +222,12 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, p
                 # with one column einsum would reduce k in a multi-accumulator
                 # SIMD dot, which reorders the sum; two columns keep it in order
                 dst[...] = np.einsum("ok,kp->op", w2d, np.repeat(cols, 2, axis=1))[:, :1]
-    out += b[None, :, None]
     return out.reshape(n, oc, oh, ow)
 
 
-def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
+def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, padding: int):
     """Integer convolution sums of int8 NCHW codes `x` less `zero_point`
-    with int8 `w`, as int32, plus int32 `b` in int32 arithmetic, so a large
-    (faulted) bias wraps around.  Zero padding follows the subtraction.
+    with int8 `w`, as int32.  Zero padding follows the subtraction.
 
     One float64 GEMM per kernel tap (i, j) over a shifted view of the padded
     input, its spatial axes flattened (kn2row; Vasudevan, Anderson & Gregg,
@@ -267,8 +271,61 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, b: np.ndarray, stri
                 if t:
                     dst += tmp
             out[ni, :, p0:p1] = dst
-    out += b[None, :, None]
     return out.reshape(n, oc, oh, pw)[..., :ow]
+
+
+def conv2d_sums(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """The sums of `conv2d` before its bias, NCHW: float64 on the float path,
+    int32 on the integer path (`_conv_accumulate`, `_conv_int`)."""
+    if x.data.ndim != 4:
+        raise ValueError(f"conv2d input must be 4-D NCHW, got {x.shape}")
+    if weight.data.ndim != 4:
+        raise ValueError(f"conv2d weight must be 4-D, got {weight.shape}")
+    if x.shape[1] != weight.shape[1]:
+        raise ValueError(f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[1]}")
+    if x.dtype == "f32" and weight.dtype == "f32":
+        with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
+            # products of f32 values are exact in f64; only the ordered f64 sums round
+            return _conv_accumulate(x.data, weight.data, stride, padding)
+    if x.dtype == "i8" and weight.dtype == "i8":
+        if x.quant is None or weight.quant is None:
+            raise ValueError("integer conv requires QuantParams on all operands")
+        # subtracting the zero point first makes zero padding represent real 0
+        return _conv_int(x.data, x.quant.zero_point, weight.data, stride, padding)
+    raise ValueError(f"unsupported conv dtype combination ({x.dtype}, {weight.dtype})")
+
+
+def conv2d_finish(
+    sums: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor, out_quant: QuantParams | None = None
+) -> Tensor:
+    """`conv2d`'s output from its pre-bias `sums` (`conv2d_sums` of `x` and
+    `weight`, or a slice of its channels) and `bias`, one element per
+    channel of `sums`.  `sums` is only read, so a caller may keep it and
+    finish it again with another bias.
+
+    Float path: the f64 sums plus the bias, rounded once to f32.  Integer
+    path: the bias added in int32, so a large (faulted) bias wraps around,
+    then requantized to `out_quant` with round-to-nearest-even and
+    saturation to [-128, 127]; the scale comes from `x` and `weight`.
+    """
+    if bias.shape != (sums.shape[1],):
+        raise ValueError(f"bias shape {bias.shape} does not match {sums.shape[1]} filters")
+    b = bias.data[None, :, None, None]
+    if sums.dtype == np.float64:
+        if bias.dtype != "f32":
+            raise ValueError(f"f32 conv requires an f32 bias, got {bias.dtype}")
+        out = np.empty(sums.shape, np.float32)
+        with np.errstate(all="ignore"):
+            # added in f64, then cast once into `out`: values beyond f32 range become Inf
+            np.add(sums, b, out=out, casting="same_kind")
+        return Tensor(out, "f32")
+    if bias.dtype != "i32":
+        raise ValueError(f"integer conv requires an i32 bias, got {bias.dtype}")
+    if out_quant is None:
+        raise ValueError("integer conv requires out_quant")
+    m = (x.quant.scale * weight.quant.scale) / out_quant.scale
+    q = np.round((sums + b).astype(np.float64) * m) + out_quant.zero_point
+    return Tensor(np.clip(q, QMIN, QMAX).astype(np.int8), "i8", out_quant)
 
 
 def conv2d(
@@ -279,45 +336,13 @@ def conv2d(
     padding: int = 0,
     out_quant: QuantParams | None = None,
 ) -> Tensor:
-    """2-D convolution over NCHW input.
+    """2-D convolution over NCHW input: `conv2d_finish` of `conv2d_sums`.
 
     Float path: f32 in, f32 out, accumulated in f64 and rounded once.
     Integer path: i8 input/weights with i32 bias; exact integer sums plus
-    the bias in int32 (`_conv_int`), then requantized to `out_quant` with
-    round-to-nearest-even and saturation to [-128, 127].
+    the bias in int32, then requantized to `out_quant`.
     """
-    if x.data.ndim != 4:
-        raise ValueError(f"conv2d input must be 4-D NCHW, got {x.shape}")
-    if weight.data.ndim != 4:
-        raise ValueError(f"conv2d weight must be 4-D, got {weight.shape}")
-    oc, ic, kh, kw = weight.shape
-    if x.shape[1] != ic:
-        raise ValueError(f"channel mismatch: input has {x.shape[1]}, weight expects {ic}")
-    if bias.shape != (oc,):
-        raise ValueError(f"bias shape {bias.shape} does not match {oc} filters")
-
-    if x.dtype == "f32":
-        if weight.dtype != "f32" or bias.dtype != "f32":
-            raise ValueError("f32 conv requires f32 weight and bias")
-        with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
-            # products of f32 values are exact in f64; only the ordered f64 sums and the cast round
-            out = _conv_accumulate(x.data, weight.data, bias.data, stride, padding)
-            out = out.astype(np.float32)  # f64 values beyond f32 range become Inf here
-        return Tensor(out, "f32")
-
-    if x.dtype == "i8" and weight.dtype == "i8" and bias.dtype == "i32":
-        if x.quant is None or weight.quant is None or bias.quant is None:
-            raise ValueError("integer conv requires QuantParams on all operands")
-        if out_quant is None:
-            raise ValueError("integer conv requires out_quant")
-        # subtracting the zero point first makes zero padding represent real 0
-        acc = _conv_int(x.data, x.quant.zero_point, weight.data, bias.data, stride, padding)
-        m = (x.quant.scale * weight.quant.scale) / out_quant.scale
-        q = np.round(acc.astype(np.float64) * m) + out_quant.zero_point
-        out = np.clip(q, QMIN, QMAX).astype(np.int8)
-        return Tensor(out, "i8", out_quant)
-
-    raise ValueError(f"unsupported conv dtype combination ({x.dtype}, {weight.dtype}, {bias.dtype})")
+    return conv2d_finish(conv2d_sums(x, weight, stride, padding), x, weight, bias, out_quant)
 
 
 def batch_norm(
@@ -344,9 +369,10 @@ def batch_norm(
 
 def hard_sigmoid(x: np.ndarray) -> np.ndarray:
     """Piecewise-linear squashing: 0 below -3, 1 above 3, x/6 + 0.5 between."""
-    x = np.asarray(x)
-    mid = x / np.float32(6) + np.float32(0.5)
-    return np.where(x <= -3, np.float32(0), np.where(x >= 3, np.float32(1), mid))
+    # x/6 + 0.5 lies in [0, 1] exactly where -3 <= x <= 3, so clipping it is
+    # the piecewise form bit for bit, NaN payloads included, without the
+    # data-dependent branches of np.where
+    return np.clip(np.asarray(x) / np.float32(6) + np.float32(0.5), np.float32(0), np.float32(1))
 
 
 _F32_ACTIVATIONS = {

@@ -295,6 +295,15 @@ class TestPredictCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"error: golden map {golden} ") and named in err and not out.exists()
 
+    @pytest.mark.parametrize("class_id", [-1, 6])
+    def test_golden_class_out_of_range_names_file_and_class(self, tmp_path, model_file, capsys, class_id):
+        golden = tmp_path / "g.npy"
+        np.save(golden, np.full((4, 4), class_id))
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--golden", golden, "--model", model_file, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: golden map {golden}: class id {class_id} out of range for 6 classes\n"
+        assert not out.exists()
+
     def test_predict_without_inputs_is_error(self, tmp_path):
         assert run_cli("predict", "--out", tmp_path / "p.json") == 2
 
@@ -542,6 +551,21 @@ class TestManifests:
 class TestExitCodes:
     def test_no_arguments_is_usage(self):
         assert run_cli() == 1
+
+    @pytest.mark.parametrize("command, document", [
+        (("plan", "--model", "{model}", "--config", "{doc}"), "campaign config"),
+        (("prune", "--model", "{model}", "--plan", "{doc}", "--out", "{out}"), "prune plan"),
+        (("compare", "--matrix", "{matrix}", "--prediction", "{doc}", "--out", "{out}"), "prediction"),
+    ], ids=["config", "prune-plan", "prediction"])
+    def test_text_that_is_not_json_names_the_document(self, tmp_path, model_file, capsys, command, document):
+        paths = {"model": model_file, "doc": tmp_path / "d.json", "out": tmp_path / "out.bin",
+                 "matrix": tmp_path / "matrix.csv"}
+        paths["doc"].write_text('{"seed": 1,}')
+        paths["matrix"].write_text("layer_id,bit,count,mean,std,mean_nonzero,max\n2,30,6,0.34,0.3,0.4,0.83\n")
+        assert run_cli(*(a.format(**paths) for a in command)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {document} {paths['doc']}: not a JSON document: Expecting property name"), err
+        assert not paths["out"].exists()
 
     def test_unknown_subcommand_is_usage(self):
         assert run_cli("frobnicate") == 1

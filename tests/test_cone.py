@@ -17,6 +17,7 @@ from seusim.inject import FaultLocation, apply_fault, channel_fault, revert
 from seusim.model import (
     ALL_PARAM_KINDS,
     ParamKind,
+    build_bias_probe_model,
     build_unet,
     faulted_classes,
     faulted_logits,
@@ -25,7 +26,7 @@ from seusim.model import (
     run_model,
     synthetic_input,
 )
-from seusim.tensor import Tensor
+from seusim.tensor import QuantParams, Tensor, conv2d, conv2d_finish, conv2d_sums
 from tests.test_model import single_conv_model
 
 
@@ -42,6 +43,9 @@ def _build():
     g = fold_batch_norm(_unet("relu"))
     x = synthetic_input(g, 8, 8, seed=5)
     out["int8"] = (quantize_model(g, [x]), x)
+    # +-1 and +-1.5 become +-Inf and NaN at bit 30
+    out["bias_probe"] = build_bias_probe_model([1.0, -1.5, 0.25, -1.0], [0.1, 0.4, 0.3, 0.2], seed=2,
+                                               image_hw=(8, 8))
     return {name: (g, x, golden_trace(g, x)) for name, (g, x) in out.items()}
 
 
@@ -100,11 +104,12 @@ def test_exponent_msb_and_sign_flips_of_every_kind(name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_every_output_layer_parameter_bit(name):
-    # faults in the output conv are ranked against the golden top two keys
+    # faults in the output conv are ranked against the golden top two keys;
+    # a bias fault there finishes the golden sums instead of running the conv
     g, x, golden = MODELS[name]
     last = g.nodes[-1]
     for kind, t in last.params.items():
-        for index in range(0, t.size, 3):
+        for index in range(0, t.size, 1 if kind is ParamKind.ConvBias else 3):
             for bit in range(t.bit_width):
                 check_location(g, x, golden, FaultLocation(last.id, kind, index, bit))
 
@@ -124,6 +129,21 @@ def test_all_minus_inf_pixel_falls_back_to_full_ranking():
     np.testing.assert_array_equal(classes, [[1, 2], [1, 2]])
 
 
+def test_all_minus_inf_pixel_after_bias_flip_falls_back_to_full_ranking():
+    # class 0 is NaN everywhere and class 1 overflows to -inf where x < 0;
+    # bit 30 turns class 2's bias -1.0 into -inf, so pixels with x < 0 end
+    # up all -inf or NaN, where class 1 (the lowest non-NaN class) must win
+    w = np.array([np.nan, 1e30, 1.0], dtype=np.float32).reshape(3, 1, 1, 1)
+    g = single_conv_model(out_ch=3, in_ch=1, weights=w, biases=[0.0, 0.0, -1.0])
+    x = Tensor(np.array([[[-1e30, 1.0], [-2e30, 0.5]]], dtype=np.float32), "f32")
+    golden = golden_trace(g, x)
+    np.testing.assert_array_equal(golden.classes, [[2, 1], [2, 1]])
+    loc = FaultLocation(0, ParamKind.ConvBias, 2, 30)
+    check_location(g, x, golden, loc)
+    classes = faulted_classes(g, golden, channel_fault(g, loc))
+    np.testing.assert_array_equal(classes, [[1, 1], [1, 1]])
+
+
 def test_one_class_model():
     g = single_conv_model(out_ch=1, in_ch=2, weights=np.full((1, 2, 1, 1), 0.5))
     x = synthetic_input(g, 4, 4, seed=0)
@@ -135,8 +155,58 @@ def test_one_class_model():
 
 
 def test_golden_trace_is_not_mutated():
-    g, x, golden = MODELS["relu"]
-    before = {i: t.data.copy() for i, t in golden.produced.items()}
-    check_location(g, x, golden, FaultLocation(0, ParamKind.ConvBias, 1, 30))
-    assert all(np.array_equal(before[i].view(np.uint8), t.data.view(np.uint8))
-               for i, t in golden.produced.items())
+    # the kept output-conv sums too, which an output bias fault finishes
+    for name in ("relu", "int8"):
+        g, x, golden = MODELS[name]
+        before = {i: t.data.copy() for i, t in golden.produced.items()}
+        sums = golden.sums.copy()
+        last = g.nodes[-1].id
+        for loc in (FaultLocation(0, ParamKind.ConvBias, 1, 30), FaultLocation(last, ParamKind.ConvBias, 1, 30),
+                    FaultLocation(last, ParamKind.ConvBias, 2, 31)):
+            check_location(g, x, golden, loc)
+        assert all(np.array_equal(before[i].view(np.uint8), t.data.view(np.uint8))
+                   for i, t in golden.produced.items())
+        assert sums.dtype == golden.sums.dtype and np.array_equal(sums.view(np.uint8), golden.sums.view(np.uint8))
+
+
+def _flip_element(values, index, bit, raw):
+    out = values.copy()
+    out.view(raw)[index] ^= raw(1 << bit)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["f32", "i8"])
+def test_conv2d_is_finish_of_kept_sums_per_channel(dtype):
+    # each channel of conv2d with a faulted bias, finished from the clean
+    # sums, which stay as they were: bit 30 turns f32 biases 1.0, 1.5, -1.0
+    # into +Inf, NaN, -Inf (+Inf plus the sums' -Inf is NaN too); bit 31
+    # turns int32 bias -5 into 2**31 - 5, which wraps once the sums pass 4
+    rng = np.random.default_rng(12)
+    if dtype == "f32":
+        xv = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
+        xv[0, 0, 1, 1] = -np.inf
+        x = Tensor(xv, "f32")
+        w = Tensor(np.abs(rng.normal(size=(3, 2, 3, 3))).astype(np.float32) + 0.1, "f32")
+        b = Tensor(_flip_element(np.array([1.0, 1.5, -1.0], dtype=np.float32), slice(None), 30, np.uint32), "f32")
+        out_quant = None
+    else:
+        x = Tensor(rng.integers(0, 128, (1, 2, 5, 5)).astype(np.int8), "i8", QuantParams(0.05, -3))
+        w = Tensor(rng.integers(1, 128, (3, 2, 3, 3)).astype(np.int8), "i8", QuantParams(0.02))
+        clean = np.array([-5, 7, -(2**31)], dtype=np.int32)
+        b = Tensor(_flip_element(clean, slice(None), 31, np.uint32), "i32", QuantParams(0.001))
+        out_quant = QuantParams(2.0**24 * 0.001, 0)  # int8 output: the top byte of the int32 sum
+    full = conv2d(x, w, b, padding=1, out_quant=out_quant)
+    sums = conv2d_sums(x, w, padding=1)
+    kept = sums.copy()
+    for c in range(3):
+        one = conv2d_finish(sums[:, c : c + 1], x, w, Tensor(b.data[c : c + 1], b.dtype, b.quant), out_quant)
+        assert one.dtype == full.dtype and one.quant == full.quant
+        np.testing.assert_array_equal(one.raw_bits(), Tensor(full.data[:, c : c + 1], full.dtype, full.quant).raw_bits())
+    np.testing.assert_array_equal(sums.view(np.uint8), kept.view(np.uint8))
+    if dtype == "f32":
+        assert np.isposinf(full.data[0, 0]).any() and np.isneginf(full.data[0, 2]).all()
+        assert np.isnan(full.data[0, 1]).all() and np.isnan(full.data[0, 0]).any()
+    else:
+        wide = sums[0, 0].astype(np.int64) + int(b.data[0])
+        assert (wide > np.iinfo(np.int32).max).any()  # the sum wrapped
+        assert (full.data[0, 0] < 0).any()

@@ -57,8 +57,12 @@ class TestClassFrequencies:
         assert freqs.sum() == pytest.approx(1.0)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^class id 7 out of range for 3 classes$"):
             class_frequencies(np.asarray([0, 7]), 3)
+
+    def test_negative_class_id_is_named(self):
+        with pytest.raises(ValueError, match="^class id -1 out of range for 3 classes$"):
+            class_frequencies(np.full((4, 4), -1), 3)
 
 
 class TestContributions:

@@ -97,14 +97,16 @@ def conv2d_int_oracle(x, zero_point, w, b, stride, padding):
 
 
 def assert_int_conv_matches_oracle(x, zero_point, w, b, stride, padding):
-    """The int32 sums of the full conv and of each one-filter slice against
-    the int64 oracle, and the requantized conv.  Its multiplier is 2**-24,
-    so the int8 output is the top byte of the int32 sum and shows a wrap."""
+    """The int32 pre-bias sums of the full conv and of each one-filter slice
+    against the int64 oracle, and the requantized conv.  Its multiplier is
+    2**-24, so the int8 output is the top byte of the int32 sum plus bias and
+    shows a wrap."""
     acc = conv2d_int_oracle(x, zero_point, w, b, stride, padding)
-    np.testing.assert_array_equal(_conv_int(x, zero_point, w, b, stride, padding), acc)
+    sums = conv2d_int_oracle(x, zero_point, w, np.zeros_like(b), stride, padding)
+    np.testing.assert_array_equal(_conv_int(x, zero_point, w, stride, padding), sums)
     for o in range(w.shape[0]):
-        one = _conv_int(x, zero_point, w[o : o + 1], b[o : o + 1], stride, padding)
-        np.testing.assert_array_equal(one[:, 0], acc[:, o])
+        one = _conv_int(x, zero_point, w[o : o + 1], stride, padding)
+        np.testing.assert_array_equal(one[:, 0], sums[:, o])
     out = conv2d(
         Tensor(x, "i8", QuantParams(1.0, zero_point)), Tensor(w, "i8", QuantParams(2.0**-12)),
         Tensor(b, "i32", QuantParams(2.0**-12)), stride=stride, padding=padding, out_quant=QuantParams(2.0**12, 0),
@@ -328,6 +330,24 @@ class TestActivation:
     def test_hard_sigmoid_values(self, x, expected):
         out = activation(t32([x]), "hard_sigmoid")
         assert out.data[0] == pytest.approx(expected)
+
+    def test_hard_sigmoid_is_the_piecewise_form_bit_for_bit(self):
+        def piecewise(x):
+            mid = x / np.float32(6) + np.float32(0.5)
+            return np.where(x <= -3, np.float32(0), np.where(x >= 3, np.float32(1), mid))
+
+        three = np.float32(3)
+        specials = np.array([0x00000000, 0x80000000, 0x7F800000, 0xFF800000,  # +-0, +-Inf
+                             0x7FC00000, 0xFFC00001, 0x7FC12345, 0xFFFFFFFF,  # quiet NaNs
+                             0x7F800001, 0xFFA00000, 0x7F9ABCDE, 0xFFBFFFFF],  # signalling NaNs
+                            dtype=np.uint32).view(np.float32)
+        near_three = np.array([np.nextafter(s * three, s * d) for s in (1, -1) for d in (0, np.inf)]
+                              + [three, -three], dtype=np.float32)
+        sample = np.random.default_rng(6).integers(0, 2**32, 200_000, dtype=np.uint32).view(np.float32)
+        x = np.concatenate([specials, near_three, sample])
+        with np.errstate(all="ignore"):
+            got, want = activation(t32(x), "hard_sigmoid").data, piecewise(x)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_sigmoid_at_zero(self):
         assert activation(t32([0.0]), "sigmoid").data[0] == pytest.approx(0.5)
