@@ -16,6 +16,7 @@ import numpy as np
 from .errormodel import probabilities
 from .tensor import (
     ACTIVATION_KINDS,
+    INT_CONV_MAX_TAPS,
     QuantParams,
     Tensor,
     activation,
@@ -130,7 +131,7 @@ def validate_model(graph: ModelGraph) -> None:
     """Structural checks: dense ids, topological inputs, the parameters each
     kind reads and no others, consistent shapes, known activations, conv
     strides >= 1, BN variances with var + eps > 0, and int8 conv weights and
-    biases with zero point 0."""
+    biases with zero point 0 whose sums fit in int32 (`INT_CONV_MAX_TAPS`)."""
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
@@ -179,6 +180,11 @@ def validate_model(graph: ModelGraph) -> None:
             for k, t in n.params.items():  # conv weights and biases: the int8 kernel assumes 0
                 if t.quant is not None and t.quant.zero_point != 0:
                     raise ValueError(f"int8 conv {n.id} {k.value} zero point must be 0, got {t.quant.zero_point}")
+            if n.kind == "conv":
+                taps = int(np.prod(n.params[ParamKind.ConvWeight].shape[1:]))
+                if taps > INT_CONV_MAX_TAPS:
+                    raise ValueError(f"int8 conv {n.id} sums {taps} taps per output, more than the "
+                                     f"{INT_CONV_MAX_TAPS} whose sums fit in int32")
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,18 @@ bias are a public half of their own (`conv2d_sums`), so a caller that keeps
 them can finish a channel with another bias (`conv2d_finish`) without
 running the conv again.
 
-The int8 conv runs one float64 GEMM per kernel tap over a shifted view of
-the padded input (kn2row), with no im2col copy.  Its sums are integers far
-below 2**53, exact in any order, so BLAS may reorder them freely.  Each
-BLAS call does at most 2**18 multiply-adds.  OpenBLAS runs a GEMM of that
-size on the calling thread, but a one-filter slice makes each call a GEMV,
-which OpenBLAS threads once m*n reaches 9216: a (1, 24) @ (24, 10922) call
-reads about 1.1 CPU seconds per wall second on 2 CPUs, and 1.0 with
-OPENBLAS_NUM_THREADS=1.  Thread count never changes a bit of the sums.
+The int8 conv runs one GEMM per kernel tap over a shifted view of the
+padded input (kn2row), with no im2col copy.  Its sums are integers of
+magnitude at most c*kh*kw * 255*128, exact in any order as long as the float
+type holds every integer up to that bound: float32 (up to 2**24) for at most
+514 taps per output, float64 past that.  So BLAS may reorder them freely.
+The sums fit in int32 up to INT_CONV_MAX_TAPS = 65793 taps; a wider int8
+conv is refused, by the kernel and by `seusim.model.validate_model`.  Each
+BLAS call does at most 2**18 multiply-adds.  OpenBLAS runs every call of
+that size on the calling thread, a one-filter slice's GEMV included: it
+first threads a GEMV, float32 or float64, at m*n = 460800 (OpenBLAS 0.3.31,
+2 CPUs, seen as CPU time on its helper thread).  Thread count never changes
+a bit of the sums.
 The int32 bias is added in int32, then the sums are requantized.
 Requantizing int8 codes, in a concat or an activation, is a gather through
 a 256-entry table.
@@ -179,9 +183,15 @@ def lookup_codes(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
 # im2col scratch per block, in elements: 2**16 float64 values is 512 KB
 _IM2COL_BLOCK = 1 << 16
 
-# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM of
-# this size on the calling thread; a one-filter GEMV may still be threaded.
+# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM or
+# GEMV of this size on the calling thread.
 _GEMM_MACS = 1 << 18
+
+# |x - zp| <= 255 and |w| <= 128: the largest product on the integer path
+_INT_PRODUCT_MAX = 255 * 128
+
+# taps per output (c*kh*kw) for which an int8 conv's sums fit in int32
+INT_CONV_MAX_TAPS = (2**31 - 1) // _INT_PRODUCT_MAX
 
 
 def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
@@ -229,7 +239,7 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
     """Integer convolution sums of int8 NCHW codes `x` less `zero_point`
     with int8 `w`, as int32.  Zero padding follows the subtraction.
 
-    One float64 GEMM per kernel tap (i, j) over a shifted view of the padded
+    One float GEMM per kernel tap (i, j) over a shifted view of the padded
     input, its spatial axes flattened (kn2row; Vasudevan, Anderson & Gregg,
     ASAP 2017): output (r, q) is column r*pw + q, and tap (i, j) reads the
     input at stride*(r*pw + q) + i*pw + j.  At stride 1 that tap operand is
@@ -239,27 +249,34 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
     call.
 
     Exact in any summation order: |x - zp| <= 255 and |w| <= 128, so every
-    product and partial sum is an integer below 2**53, and BLAS may block
-    and vectorise as it likes.  The sums fit in int32 while
-    255 * 128 * c*kh*kw < 2**31, that is for c*kh*kw <= 65793.
+    product and partial sum is an integer of magnitude at most
+    c*kh*kw * 32640.  Up to 514 taps that is below 2**24, exact in float32,
+    and the GEMMs, padded operand and accumulators are float32; past it they
+    are float64.  BLAS may block, vectorise and fuse as it likes.  The sums
+    fit in int32 up to INT_CONV_MAX_TAPS taps; a wider conv is refused.
     """
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
+    k = c * kh * kw
+    if k > INT_CONV_MAX_TAPS:
+        raise ValueError(f"int8 conv of {c}x{kh}x{kw} = {k} taps per output exceeds "
+                         f"{INT_CONV_MAX_TAPS}: its sums would overflow int32")
     ph, pw = h + 2 * padding, wd + 2 * padding
     if ph < kh or pw < kw:
         raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
-    xp = np.zeros((n, c, ph, pw))
-    np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=np.float64)
+    ftype = np.float32 if k * _INT_PRODUCT_MAX <= 2**24 else np.float64
+    xp = np.zeros((n, c, ph, pw), ftype)
+    np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=ftype)
     flat = xp.reshape(n, c, ph * pw)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=np.float64).reshape(kh * kw, oc, c)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=ftype).reshape(kh * kw, oc, c)
     offsets = [i * pw + j for i in range(kh) for j in range(kw)]
     span = (oh - 1) * pw + ow  # columns up to the last output
     step = min(max(1, _GEMM_MACS // (oc * c)), span)
     # a contiguous accumulator per column block: adding into a strided
     # slice of the whole output is several times slower
-    acc, part = np.empty((oc, step)), np.empty((oc, step))
+    acc, part = np.empty((oc, step), ftype), np.empty((oc, step), ftype)
     out = np.empty((n, oc, oh * pw), dtype=np.int32)
     for ni in range(n):
         for p0 in range(0, span, step):

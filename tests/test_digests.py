@@ -53,6 +53,17 @@ def _int8():
                              included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
 
 
+def _int8_wide():
+    # base 24: the decoder convs read 144 and 72 channels, 1296 and 648 taps,
+    # past the 514 for which the int8 conv's float32 GEMMs are exact
+    g = fold_batch_norm(build_unet(depth=2, base_channels=24, n_input_channels=3, n_classes=6,
+                                   activation_kind="relu", seed=15))
+    x = synthetic_input(g, 32, 32, seed=37)
+    q = quantize_model(g, [x, synthetic_input(g, 32, 32, seed=38)])
+    return q, CampaignConfig(cap=16, seed=25, sampling="stratified_per_bit", inputs=(x,),
+                             included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
+
+
 def _nan_bits():
     # exponent-MSB and sign flips over every parameter kind, two inputs
     g = _unet("relu", 14)
@@ -65,6 +76,7 @@ CORPUS = {
     "relu": (_relu, "4d617db1c68b3d421f825c0f02b3de56376874c0ab63ea277fc2e418a70b219c"),
     "hard_sigmoid": (_hard_sigmoid, "6e04bb837bf72dcb2a8a72ce8fbde7a7a75e51cdd2571a602f09babf06cfb5d3"),
     "int8": (_int8, "c93e023fd3c95315a4cf478047ef061f0b32db5ebb9284a522950eebf0b31f63"),
+    "int8_wide": (_int8_wide, "27c765d75a3fa7bdc4aa494943568ac404c41b2a3bb150b6401c04009fa7fdbc"),
     "nan_bits_30_31": (_nan_bits, "0c9924a954289bb2994317b34875c05fa33da7d0780bcb9b30cbfa79cb64e106"),
 }
 

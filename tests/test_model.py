@@ -307,6 +307,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             validate_model(broken)
 
+    def test_int8_conv_past_int32_sums_rejected(self):
+        # 7311 channels of 3x3 are 65799 taps per output: the worst-case sum overflows int32
+        def graph(c):
+            conv = LayerNode(id=0, kind="conv", padding=1, out_quant=QuantParams(1.0), params={
+                ParamKind.ConvWeight: Tensor(np.zeros((2, c, 3, 3), np.int8), "i8", QuantParams(1.0)),
+                ParamKind.ConvBias: Tensor(np.zeros(2, np.int32), "i32", QuantParams(1.0)),
+            })
+            return ModelGraph([conv], n_classes=2, n_input_channels=c, dtype_mode="int8",
+                              input_quant=QuantParams(1.0))
+
+        validate_model(graph(7310))
+        match = "int8 conv 0 sums 65799 taps per output, more than the 65793"
+        with pytest.raises(ValueError, match=match):
+            validate_model(graph(7311))
+        with pytest.raises(ValueError, match=match):
+            deserialize_model(serialize_model(graph(7311)))
+
     @pytest.mark.parametrize("change", [{"act": None}, {"stride": 0}])
     def test_unrunnable_model_does_not_load(self, change):
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)

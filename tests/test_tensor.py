@@ -12,6 +12,7 @@ from seusim.tensor import (
     _GEMM_MACS,
     _IM2COL_BLOCK,
     _conv_int,
+    INT_CONV_MAX_TAPS,
     QuantParams,
     Tensor,
     activation,
@@ -266,6 +267,33 @@ class TestConv2d:
         o = (26 - 3) // stride + 1
         assert (o - 1) * 26 + o > _GEMM_MACS // (32 * 32)
         assert_int_conv_matches_oracle(x, -7, w, b, stride, 1)
+
+    # c*kh*kw on either side of the float32 bound: 514 * 255 * 128 <= 2**24 < 515 * 255 * 128
+    @pytest.mark.parametrize("c, kh, kw", [(514, 1, 1), (257, 1, 2), (515, 1, 1), (103, 5, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("x_code, zp", [(-128, 127), (127, -128)], ids=["positive", "negative"])
+    def test_integer_path_exact_at_float32_bound(self, c, kh, kw, stride, x_code, zp):
+        # |x - zp| = 255 and w = -128 make every product +-32640, a multiple of
+        # 128 that float32 holds to 2**31; one weight of -127 per filter makes
+        # each full-window sum odd, so past 2**24 float32 cannot hold it
+        x = np.full((1, c, 6, 7), x_code, np.int8)
+        w = np.full((2, c, kh, kw), -128, np.int8)
+        w[0, 0, 0, 0] = w[1, -1, -1, -1] = -127
+        sums = conv2d_int_oracle(x, zp, w, np.zeros(2, np.int32), stride, 1)
+        assert np.abs(sums).max() == 255 * (128 * c * kh * kw - 1)
+        assert_int_conv_matches_oracle(x, zp, w, np.array([2**31 - 1, -(2**31)], np.int32), stride, 1)
+
+    def test_integer_sums_past_int32_refused(self):
+        # at the limit the worst-case sum, 65793 * 32640 = 2**31 - 128, still fits
+        x = np.full((1, INT_CONV_MAX_TAPS, 1, 1), -128, np.int8)
+        w = np.full((1, INT_CONV_MAX_TAPS, 1, 1), -128, np.int8)
+        assert _conv_int(x, 127, w, 1, 0)[0, 0, 0, 0] == INT_CONV_MAX_TAPS * 255 * 128 == 2**31 - 128
+        # past it a sum can leave int32: 7311 channels of 3x3 reach 65799 * 32640 = 2147679360
+        x = Tensor(np.full((1, 7311, 3, 3), -128, np.int8), "i8", QuantParams(1.0, 127))
+        w = Tensor(np.full((1, 7311, 3, 3), -128, np.int8), "i8", QuantParams(1.0))
+        b = Tensor(np.zeros(1, np.int32), "i32", QuantParams(1.0))
+        with pytest.raises(ValueError, match="7311x3x3 = 65799 taps per output exceeds 65793"):
+            conv2d(x, w, b, out_quant=QuantParams(1.0))
 
     def test_integer_output_saturates(self):
         xq = QuantParams(1.0, 0)
