@@ -18,18 +18,20 @@ bias are a public half of their own (`conv2d_sums`), so a caller that keeps
 them can finish a channel with another bias (`conv2d_finish`) without
 running the conv again.
 
-The int8 conv runs one GEMM per kernel tap over a shifted view of the
-padded input (kn2row), with no im2col copy.  Its sums are integers of
-magnitude at most c*kh*kw * 255*128, exact in any order as long as the float
-type holds every integer up to that bound: float32 (up to 2**24) for at most
-514 taps per output, float64 past that.  So BLAS may reorder them freely.
-The sums fit in int32 up to INT_CONV_MAX_TAPS = 65793 taps; a wider int8
-conv is refused, by the kernel and by `seusim.model.validate_model`.  Each
-BLAS call does at most 2**18 multiply-adds.  OpenBLAS runs every call of
-that size on the calling thread, a one-filter slice's GEMV included: it
-first threads a GEMV, float32 or float64, at m*n = 460800 (OpenBLAS 0.3.31,
-2 CPUs, seen as CPU time on its helper thread).  Thread count never changes
-a bit of the sums.
+The int8 conv is kn2row with no im2col copy: one strided view of the padded
+input holds every kernel tap's shifted operand, one batched matmul per block
+of output columns gives every tap's product, and a sum over the taps gives
+the block's sums.  The sums are integers of magnitude at most
+c*kh*kw * 255*128, exact in any order as long as the float type holds every
+integer up to that bound: float32 (up to 2**24) for at most 514 taps per
+output, float64 past that.  So BLAS may reorder them freely.  The sums fit
+in int32 up to INT_CONV_MAX_TAPS = 65793 taps; a wider int8 conv is refused,
+by the kernel and by `seusim.model.validate_model`.  Each tap's product in a
+block, so each BLAS call, does at most 2**18 multiply-adds.  OpenBLAS runs
+every call of that size on the calling thread, a one-filter slice's GEMV
+included: it first threads a GEMV, float32 or float64, at m*n = 460800
+(OpenBLAS 0.3.31, 2 CPUs, seen as CPU time on its helper thread).  Thread
+count never changes a bit of the sums.
 The int32 bias is added in int32, then the sums are requantized.
 Requantizing int8 codes, in a concat or an activation, is a gather through
 a 256-entry table.
@@ -183,8 +185,9 @@ def lookup_codes(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
 # im2col scratch per block, in elements: 2**16 float64 values is 512 KB
 _IM2COL_BLOCK = 1 << 16
 
-# multiply-adds per BLAS call on the integer path.  OpenBLAS runs a GEMM or
-# GEMV of this size on the calling thread.
+# multiply-adds per BLAS call on the integer path, and about the elements of
+# its product buffer (1 MB of float32).  OpenBLAS runs a GEMM or GEMV of this
+# size on the calling thread.
 _GEMM_MACS = 1 << 18
 
 # |x - zp| <= 255 and |w| <= 128: the largest product on the integer path
@@ -239,20 +242,25 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
     """Integer convolution sums of int8 NCHW codes `x` less `zero_point`
     with int8 `w`, as int32.  Zero padding follows the subtraction.
 
-    One float GEMM per kernel tap (i, j) over a shifted view of the padded
-    input, its spatial axes flattened (kn2row; Vasudevan, Anderson & Gregg,
-    ASAP 2017): output (r, q) is column r*pw + q, and tap (i, j) reads the
-    input at stride*(r*pw + q) + i*pw + j.  At stride 1 that tap operand is
-    a contiguous slice, so nothing is copied (a strided one is copied by
-    numpy before BLAS); the pw - ow columns past each output row's end are
-    dropped.  Columns go in blocks of at most _GEMM_MACS multiply-adds per
-    call.
+    kn2row (Vasudevan, Anderson & Gregg, ASAP 2017) as one batched matmul
+    per column block.  The padded input's spatial axes are flattened:
+    output (r, q) is column r*pw + q, and tap (i, j) reads the input at
+    i*pw + j + stride*(r*pw + q).  One strided view [kh, kw, c, span] holds
+    every tap's operand without a copy, so the weights as [kh, kw, oc, c]
+    times a block of its columns give every tap's product [kh, kw, oc, block]
+    in one call; summing over the tap axes gives the block's sums, and the
+    pw - ow columns past each output row's end are dropped.  A 1x1 conv's
+    single product is its sums.  At stride 1 each 2-D product runs on BLAS;
+    at stride > 1 its operand's columns are not adjacent, and numpy's matmul
+    runs its own loop over the view instead of BLAS.  A block keeps each
+    2-D product at most _GEMM_MACS multiply-adds and the product buffer at
+    most about _GEMM_MACS elements.
 
     Exact in any summation order: |x - zp| <= 255 and |w| <= 128, so every
     product and partial sum is an integer of magnitude at most
     c*kh*kw * 32640.  Up to 514 taps that is below 2**24, exact in float32,
-    and the GEMMs, padded operand and accumulators are float32; past it they
-    are float64.  BLAS may block, vectorise and fuse as it likes.  The sums
+    and the products, padded operand and sums are float32; past it they are
+    float64.  BLAS may block, vectorise and fuse as it likes.  The sums
     fit in int32 up to INT_CONV_MAX_TAPS taps; a wider conv is refused.
     """
     n, c, h, wd = x.shape
@@ -269,25 +277,18 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
     ftype = np.float32 if k * _INT_PRODUCT_MAX <= 2**24 else np.float64
     xp = np.zeros((n, c, ph, pw), ftype)
     np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=ftype)
-    flat = xp.reshape(n, c, ph * pw)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=ftype).reshape(kh * kw, oc, c)
-    offsets = [i * pw + j for i in range(kh) for j in range(kw)]
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=ftype)
     span = (oh - 1) * pw + ow  # columns up to the last output
-    step = min(max(1, _GEMM_MACS // (oc * c)), span)
-    # a contiguous accumulator per column block: adding into a strided
-    # slice of the whole output is several times slower
-    acc, part = np.empty((oc, step), ftype), np.empty((oc, step), ftype)
+    step = min(max(1, _GEMM_MACS // (oc * max(c, kh * kw))), span)
+    prod = np.empty((kh, kw, oc, step), ftype)
     out = np.empty((n, oc, oh * pw), dtype=np.int32)
+    _, s1, s2, s3 = xp.strides
     for ni in range(n):
+        view = np.lib.stride_tricks.as_strided(xp[ni], (kh, kw, c, span), (s2, s3, s1, stride * s3))
         for p0 in range(0, span, step):
             p1 = min(p0 + step, span)
-            dst, tmp = acc[:, : p1 - p0], part[:, : p1 - p0]
-            for t, off in enumerate(offsets):
-                src = flat[ni, :, off + stride * p0 : off + stride * (p1 - 1) + 1 : stride]
-                np.matmul(taps[t], src, out=tmp if t else dst)
-                if t:
-                    dst += tmp
-            out[ni, :, p0:p1] = dst
+            dst = np.matmul(wt, view[..., p0:p1], out=prod[..., : p1 - p0])
+            out[ni, :, p0:p1] = dst[0, 0] if kh * kw == 1 else dst.sum(axis=(0, 1))
     return out.reshape(n, oc, oh, pw)[..., :ow]
 
 

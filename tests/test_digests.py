@@ -95,7 +95,13 @@ def test_records_digest_pinned(name, tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_int8_digest_independent_of_blas_threads(threads, tmp_path):
-    # the int8 conv runs on BLAS; a fresh process reads the thread count at start-up
+    # Guards the int8 records against the BLAS thread count: were an int8 BLAS
+    # call to grow past the size at which OpenBLAS threads it, the run with 2
+    # threads would split it, and a bit that the split changed would show here.
+    # It cannot see a thread-count dependence below the 2**18 multiply-add cap
+    # per call: OpenBLAS 0.3.31 runs every call of that size on the calling
+    # thread at either count, so both runs make the same calls.  A fresh
+    # process reads the thread count at start-up.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))

@@ -1,6 +1,7 @@
 """Kernel tests against naive nested-loop oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,39 @@ class TestConv2d:
         o = (26 - 3) // stride + 1
         assert (o - 1) * 26 + o > _GEMM_MACS // (32 * 32)
         assert_int_conv_matches_oracle(x, -7, w, b, stride, 1)
+
+    @pytest.mark.parametrize("kh, kw", [(2, 3), (3, 2), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_integer_path_exact_with_non_square_taps(self, kh, kw, stride):
+        # the tap view reads tap (i, j) at i*pw + j: a swapped kh/kw or a wrong
+        # row or column stride shows only with kh != kw, and across images and
+        # column blocks only with n > 1 and several blocks
+        rng = np.random.default_rng(23)
+        x = rng.integers(-128, 128, (2, 64, 20, 21)).astype(np.int8)
+        w = rng.integers(-128, 128, (32, 64, kh, kw)).astype(np.int8)
+        b = rng.integers(-(2**31), 2**31, 32).astype(np.int32)
+        ow = (21 + 2 - kw) // stride + 1
+        span = ((20 + 2 - kh) // stride) * (21 + 2) + ow
+        assert span > _GEMM_MACS // (32 * 64)
+        assert_int_conv_matches_oracle(x, 5, w, b, stride, 1)
+
+    def test_integer_conv_scratch_bounded(self):
+        # one 3x3 filter over one 512x512 channel: the bound is the peak of a
+        # per-tap kernel with two 2**18-element float32 accumulators (4.21e6
+        # bytes, 2.1e6 of them the padded input and the int32 sums).  A product
+        # buffer of all 9 taps with column blocks bounded by multiply-adds
+        # alone peaks at 12.6e6 bytes.
+        rng = np.random.default_rng(29)
+        x = rng.integers(-128, 128, (1, 1, 512, 512)).astype(np.int8)
+        w = rng.integers(-128, 128, (1, 1, 3, 3)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            sums = _conv_int(x, 3, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.21e6
+        np.testing.assert_array_equal(sums, conv2d_int_oracle(x, 3, w, np.zeros(1, np.int32), 1, 1))
 
     # c*kh*kw on either side of the float32 bound: 514 * 255 * 128 <= 2**24 < 515 * 255 * 128
     @pytest.mark.parametrize("c, kh, kw", [(514, 1, 1), (257, 1, 2), (515, 1, 1), (103, 5, 1)])
