@@ -35,6 +35,16 @@ count never changes a bit of the sums.
 The int32 bias is added in int32, then the sums are requantized.
 Requantizing int8 codes, in a concat or an activation, is a gather through
 a 256-entry table.
+
+Both convs pad into a zeroed buffer, writing the input into its interior
+with one call.  Pooling is two pairwise `np.maximum` passes over strided
+views, rows then columns.  A window holding a NaN gives NaN (`np.maximum`,
+never `np.fmax`); which NaN payload, and which zero sign where a window
+holds both +0.0 and -0.0, may differ from a one-pass reduction.  No class
+map can see either: `argmax_classes` ranks every NaN alike and compares
+the zeros as equal, and every conv sum starts from +0.0.  Upsampling
+writes its input into the four strided (row, column) slots of one output
+buffer, so the output is its only allocation.
 """
 
 from __future__ import annotations
@@ -206,7 +216,9 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     n, c, h, wd = x.shape
     oc, _, kh, kw = w.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), x.dtype)
+        xp[:, :, padding : padding + h, padding : padding + wd] = x
+        x = xp
     ph, pw = x.shape[2], x.shape[3]
     if ph < kh or pw < kw:
         raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
@@ -434,18 +446,38 @@ def activation(x: Tensor, kind: str, out_quant: QuantParams | None = None) -> Te
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2.  Spatial dims must be even."""
-    n, c, h, w = x.shape
+    """2x2 max pooling, stride 2.  Spatial dims must be even.
+
+    The maximum of each pair of rows, then of each pair of columns: two
+    `np.maximum` passes over strided views.  A window holding a NaN gives
+    NaN (`np.maximum`, never `np.fmax`); which NaN payload, and which zero
+    sign where a window holds both +0.0 and -0.0, is not specified.
+    """
+    if x.data.ndim != 4:
+        raise ValueError(f"max_pool2 input must be 4-D NCHW, got {x.shape}")
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"pooling needs even spatial dims, got {h}x{w}")
-    v = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    return Tensor(v.max(axis=(3, 5)), x.dtype, x.quant)
+    rows = np.maximum(x.data[:, :, 0::2], x.data[:, :, 1::2])
+    return Tensor(np.maximum(rows[..., 0::2], rows[..., 1::2]), x.dtype, x.quant)
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x upsampling."""
-    v = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    return Tensor(v, x.dtype, x.quant)
+    """Nearest-neighbor 2x upsampling into a fresh array.
+
+    `x` is written four times into one [n, c, h, 2, w, 2] buffer, once per
+    (row, column) offset, so the output is the only allocation.  Each
+    write reads `x`, never another slot of the buffer: numpy would copy
+    an overlapping operand through a temporary.
+    """
+    if x.data.ndim != 4:
+        raise ValueError(f"upsample2 input must be 4-D NCHW, got {x.shape}")
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h, 2, w, 2), x.data.dtype)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, :, :, i, :, j] = x.data
+    return Tensor(out.reshape(n, c, 2 * h, 2 * w), x.dtype, x.quant)
 
 
 def concat_channels(a: Tensor, b: Tensor, out_quant: QuantParams | None = None) -> Tensor:

@@ -1,6 +1,7 @@
 """Kernel tests against naive nested-loop oracles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -114,6 +115,12 @@ def assert_int_conv_matches_oracle(x, zero_point, w, b, stride, padding):
         Tensor(b, "i32", QuantParams(2.0**-12)), stride=stride, padding=padding, out_quant=QuantParams(2.0**12, 0),
     )
     np.testing.assert_array_equal(out.data, np.clip(np.round(acc * 2.0**-24), -128, 127).astype(np.int8))
+
+
+def max_pool2_reduction(v):
+    """2x2 max pooling as a reduction over a reshaped view; the oracle."""
+    n, c, h, w = v.shape
+    return v.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
 
 
 def assert_same_bits(a, b):
@@ -477,6 +484,80 @@ class TestSpatialOps:
     def test_upsample_then_pool_roundtrip(self):
         x = t32(np.random.default_rng(0).normal(size=(1, 2, 3, 3)))
         np.testing.assert_array_equal(max_pool2(upsample2(x)).data, x.data)
+
+    def test_max_pool2_needs_even_width(self):
+        with pytest.raises(ValueError, match="even"):
+            max_pool2(t32(np.zeros((1, 1, 4, 3))))
+
+    @pytest.mark.parametrize("op", [max_pool2, upsample2])
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 1, 2, 2, 2)])
+    def test_spatial_ops_need_4d(self, op, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            op(t32(np.zeros(shape)))
+
+    def test_max_pool2_matches_reduction_f32(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(2, 3, 6, 10)).astype(np.float32)
+        v.reshape(-1)[rng.choice(v.size, 40, replace=False)] = [np.inf, -np.inf] * 20
+        nan_at = rng.choice(v.size, 12, replace=False)
+        v.reshape(-1)[nan_at] = np.frombuffer(rng.integers(0x7F800001, 0x80000000, 12, np.uint32), np.float32)
+        got, want = max_pool2(t32(v)).data, max_pool2_reduction(v)
+        nan = np.isnan(v).reshape(2, 3, 3, 2, 5, 2).any(axis=(3, 5))
+        assert 0 < nan.sum() < nan.size and np.isinf(want).any()
+        assert got.dtype == np.float32 and got.shape == want.shape == (2, 3, 3, 5)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+
+    def test_max_pool2_matches_reduction_int8(self):
+        qp = QuantParams(0.25, -3)
+        v = np.random.default_rng(6).integers(-128, 128, (2, 5, 4, 8)).astype(np.int8)
+        out = max_pool2(Tensor(v, "i8", qp))
+        assert out.dtype == "i8" and out.quant == qp and out.data.dtype == np.int8
+        np.testing.assert_array_equal(out.data, max_pool2_reduction(v))
+
+    def test_max_pool2_every_window_of_special_values(self):
+        # every 2x2 window over these values: the reduction's value wherever
+        # the window holds no NaN (+0.0 == -0.0), NaN wherever it holds one
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0], np.float32)
+        special = np.append(special, np.frombuffer(np.uint32([0x7F800001, 0xFFC00123]), np.float32))
+        windows = np.stack(np.meshgrid(*[special] * 4, indexing="ij"), -1).reshape(1, -1, 2, 2)
+        got, want = max_pool2(t32(windows)).data.reshape(-1), max_pool2_reduction(windows).reshape(-1)
+        nan = np.isnan(windows).reshape(-1, 4).any(axis=1)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan], want[~nan])
+
+    @pytest.mark.parametrize("dtype", ["f32", "i8"])
+    def test_upsample2_matches_repeat(self, dtype):
+        rng = np.random.default_rng(7)
+        if dtype == "f32":
+            bits = rng.integers(0, 2**32, (2, 3, 5, 4), np.uint32)
+            bits.reshape(-1)[:3] = [0x7FC00001, 0xFF800123, 0x80000000]  # NaN payloads, -0.0
+            x = Tensor(bits.view(np.float32), "f32")
+        else:
+            x = Tensor(rng.integers(-128, 128, (2, 3, 5, 4)).astype(np.int8), "i8", QuantParams(0.5, 7))
+        before = x.data.copy()
+        out = upsample2(x)
+        want = np.repeat(np.repeat(before, 2, axis=2), 2, axis=3)
+        assert out.dtype == x.dtype and out.quant == x.quant and out.data.dtype == want.dtype
+        np.testing.assert_array_equal(out.data.view(np.uint8), want.view(np.uint8))
+        # a fresh array: a faulted forward may write into it, never into `x`
+        assert out.data.flags.c_contiguous and not np.shares_memory(out.data, x.data)
+        out.data[...] = 0
+        np.testing.assert_array_equal(x.data.view(np.uint8), before.view(np.uint8))
+
+    @pytest.mark.parametrize("op, bound", [(upsample2, 4 * 1.05), (max_pool2, 0.75 * 1.05)])
+    def test_spatial_op_scratch_bounded(self, op, bound):
+        # upsample2's bound is its output alone; repeating twice, or copying one
+        # slot of the output into another, peaks at 1.5x the output.  max_pool2
+        # holds the half-size row maxima and its output, 0.75x its input.
+        x = t32(np.random.default_rng(8).normal(size=(1, 16, 256, 256)))
+        tracemalloc.start()
+        try:
+            op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.data.nbytes
 
     def test_concat_orders_channels(self):
         a = t32(np.full((1, 2, 2, 2), 1.0))
