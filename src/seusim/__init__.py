@@ -15,6 +15,7 @@ from .campaign import (
     InjectionRecord,
     aggregate,
     golden_run,
+    injections,
     pixel_mismatch_rate,
     plan,
     run_campaign,

@@ -30,12 +30,14 @@ faulted bias.  The class map is bit-identical to a full forward pass:
 each channel's sum is independent of the other filters, a one-filter
 slice reduces over (c, i, j) in the same order, and the bias is added
 after the sums.
-Each injection is one task.  At jobs = 1 they run in plan order on the
-caller's thread; at jobs > 1 a thread pool hands the next injection to
-whichever worker is idle, so the costly early layers spread without a
-fixed deal, and `Executor.map` returns the records in plan order, then
-input order.  An exception or interrupt cancels every injection not yet
-started, so the campaign stops after the ones in flight.
+`injections` is the one loop of a campaign; each injection is one task.
+At jobs = 1 they run in plan order on the caller's thread; at jobs > 1 a
+thread pool hands the next injection to whichever worker is idle, so the
+costly early layers spread without a fixed deal.  Either way the records
+come in plan order, then input order.  Closing the iterator, or an
+exception or interrupt while it is read, cancels every injection not yet
+started.  `seusim run` writes each record as its injection finishes and
+computes the matrix from `records.csv`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from functools import partial
 
@@ -124,8 +128,10 @@ class CampaignConfig:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if not self.included_kinds:
             raise ValueError("included_kinds must not be empty")
-        if self.bits is not None and (len(self.bits) == 0 or any(b < 0 for b in self.bits)):
-            raise ValueError("bits filter must be a non-empty set of non-negative positions")
+        if self.bits is not None and (len(self.bits) == 0 or any(not 0 <= b < 32 for b in self.bits)):
+            raise ValueError(f"bits filter must be a non-empty set of positions in 0..31, got {self.bits}")
+        if self.layers is not None and (len(self.layers) == 0 or any(lid < 0 for lid in self.layers)):
+            raise ValueError(f"layers filter must be a non-empty set of non-negative layer ids, got {self.layers}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,9 @@ def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
             entries.append(PlanEntry(lid, N, locations))
     if not entries:
         raise ValueError("empty fault space for this configuration")
+    unused = sorted(set(config.layers or ()) - {e.layer_id for e in entries})
+    if unused:
+        raise ValueError(f"layers filter: no fault sites in layer {', '.join(map(str, unused))} for this configuration")
     return CampaignPlan(entries)
 
 
@@ -310,29 +319,32 @@ def _inject(model: ModelGraph, goldens, loc: FaultLocation) -> list[InjectionRec
     ]
 
 
-def run_campaign(
-    model: ModelGraph, config: CampaignConfig, jobs: int = 1
-) -> tuple[list[InjectionRecord], ErrorMatrix]:
-    """Plan, inject, score, and aggregate one campaign.
-
-    Fully reproducible from the seed: sampling is derived per layer, and
-    record order is fixed by (plan order, draw order, input order) no
-    matter how many worker threads execute the injections.
-    """
+def injections(model: ModelGraph, config: CampaignConfig, jobs: int = 1) -> Iterator[InjectionRecord]:
+    """The records of one campaign, in (plan, draw, input) order at any job
+    count, as its injections finish.  The config checks, the plan and the
+    golden traces run before this returns; the injections run as the
+    iterator is read."""
     if not config.inputs:
         raise ValueError("campaign needs at least one input image")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     locations = [loc for e in plan(model, config).entries for loc in e.locations]
     goldens = [golden_trace(model, x) for x in config.inputs]
+    return _records(partial(_inject, model, goldens), locations, min(jobs, len(locations)))
 
-    n = min(jobs, len(locations))
-    inject = partial(_inject, model, goldens)
-    if n <= 1:
-        records = [r for recs in map(inject, locations) for r in recs]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            records = [r for recs in pool.map(inject, locations) for r in recs]
+
+def _records(inject, locations: list[FaultLocation], jobs: int) -> Iterator[InjectionRecord]:
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for recs in (pool.map if pool else map)(inject, locations):
+            yield from recs
+
+
+def run_campaign(
+    model: ModelGraph, config: CampaignConfig, jobs: int = 1
+) -> tuple[list[InjectionRecord], ErrorMatrix]:
+    """Plan, inject, score, and aggregate one campaign; fully reproducible
+    from the seed, since sampling is derived per layer."""
+    records = list(injections(model, config, jobs))
     return records, aggregate(records)
 
 
@@ -386,7 +398,7 @@ def _hex(bits: int, width: int) -> str:
     return format(bits, f"0{width // 4}x")
 
 
-def write_records_csv(path, records: list[InjectionRecord]) -> None:
+def write_records_csv(path, records: Iterable[InjectionRecord]) -> None:
     write_table(path, RECORD_COLUMNS, (
         (r.location.layer_id, r.location.kind.value, r.location.index, r.location.bit, r.direction, r.field,
          _hex(r.pre_bits, r.bit_width), _hex(r.post_bits, r.bit_width), r.post_kind, r.input_id, r.error_rate)

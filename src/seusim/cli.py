@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import astuple, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -188,11 +189,13 @@ def cmd_plan(args) -> dict | None:
 def cmd_run(args) -> dict:
     graph = load_model(args.model)
     config, raw_config = _load_campaign(args, graph)
-    records, matrix = camp.run_campaign(graph, config, jobs=args.jobs)
-    out_dir = _out_dir(args)
-    records_path = out_dir / "records.csv"
-    matrix_path = out_dir / "matrix.csv"
-    camp.write_records_csv(records_path, records)
+    with closing(camp.injections(graph, config, jobs=args.jobs)) as records:
+        out_dir = _out_dir(args)
+        records_path, matrix_path, manifest_path = (out_dir / n for n in ("records.csv", "matrix.csv", "manifest.json"))
+        for stale in (matrix_path, manifest_path):  # an interrupted run leaves none of another run
+            stale.unlink(missing_ok=True)
+        camp.write_records_csv(records_path, records)
+    matrix = camp.aggregate(camp.read_records_csv(records_path))
     camp.write_matrix_csv(matrix_path, matrix)
     summary = {
         "injections": matrix.count,
@@ -203,7 +206,6 @@ def cmd_run(args) -> dict:
         "sampling": config.sampling,
         "jobs": args.jobs,
     }
-    manifest_path = out_dir / "manifest.json"
     print(f"{matrix.count} injections: mean error {matrix.mean:.4%}, "
           f"mean nonzero {matrix.mean_nonzero:.4%}")
     print(f"wrote {records_path}, {matrix_path}, {manifest_path}")

@@ -27,7 +27,7 @@ PARTIAL_EXPONENT_BITS = range(F32_EXP_LSB, F32_EXP_MSB)
 
 
 class FaultStateError(RuntimeError):
-    """Fault applied or reverted out of order."""
+    """Fault reverted twice, or before a later fault on its element."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class FaultHandle:
     pre_bits: int
     post_bits: int
     classification: FlipClassification
-    active: bool = True
 
 
 def _locate(model: ModelGraph, loc: FaultLocation) -> Tensor:
@@ -117,28 +116,21 @@ def _locate(model: ModelGraph, loc: FaultLocation) -> Tensor:
 
 
 def apply_fault(model: ModelGraph, loc: FaultLocation) -> FaultHandle:
-    """Flip one bit of one stored parameter element, in place, until `revert`.
-
-    At most one fault may be active per model.  Campaigns do not write to
-    the model: they build each fault as a value with `channel_fault`, and
-    this in-place form is the reference that tests hold them to.
-    """
-    if model._active_fault is not None:
-        raise FaultStateError("a fault is already active on this model view")
+    """Flip one bit of one stored parameter element, in place, until `revert`;
+    stacked faults restore bit-exactly in reverse order.  Campaigns do not
+    write to the model: they build each fault as a value with `channel_fault`,
+    and this in-place form is the reference that tests hold them to."""
     t = _locate(model, loc)
-    handle = FaultHandle(model, loc, *_flip(t.raw_bits(), loc.index, loc.bit, t.dtype))
-    model._active_fault = handle
-    return handle
+    return FaultHandle(model, loc, *_flip(t.raw_bits(), loc.index, loc.bit, t.dtype))
 
 
 def revert(handle: FaultHandle) -> None:
-    """Restore the original bit pattern exactly."""
-    if not handle.active or handle.model._active_fault is not handle:
-        raise FaultStateError("fault is not active")
-    t = _locate(handle.model, handle.location)
-    t.raw_bits()[handle.location.index] = handle.pre_bits
-    handle.active = False
-    handle.model._active_fault = None
+    """Restore the element's bits from before the fault, exactly; an element
+    that no longer holds the faulted bits (reverted, or faulted since) is a FaultStateError."""
+    raw = _locate(handle.model, handle.location).raw_bits()
+    if raw.item(handle.location.index) != handle.post_bits:
+        raise FaultStateError("fault is not active: its element no longer holds the faulted bits")
+    raw[handle.location.index] = handle.pre_bits
 
 
 class ChannelFault(NamedTuple):

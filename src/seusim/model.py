@@ -82,9 +82,6 @@ class ModelGraph:
     dtype_mode: str = "float32"
     input_quant: QuantParams | None = None
     meta: dict = field(default_factory=dict)
-    # set by seusim.inject; never an __init__ argument, so a graph derived
-    # with dataclasses.replace starts without the source's active fault
-    _active_fault: object = field(default=None, init=False, repr=False, compare=False)
 
     def node(self, layer_id: int) -> LayerNode:
         if not 0 <= layer_id < len(self.nodes):
@@ -164,7 +161,7 @@ def validate_model(graph: ModelGraph) -> None:
             for k in LAYER_PARAMS["batch_norm"]:
                 if n.params[k].shape != (in_ch,):
                     raise ValueError(f"batch_norm {i} {k.value} inconsistent with {in_ch} channels")
-            if np.any(n.params[ParamKind.BNVar].data + np.float32(n.eps) <= 0):
+            if not (n.params[ParamKind.BNVar].data + np.float32(n.eps) > 0).all():  # NaN fails too
                 raise ValueError(f"batch_norm {i} var + eps must be positive")
     last = graph.nodes[-1]
     if last.kind != "conv" or out_channels(graph, last) != graph.n_classes:

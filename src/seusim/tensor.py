@@ -72,8 +72,8 @@ class QuantParams:
     zero_point: int = 0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not float(self.scale) == self.scale or self.zero_point != int(self.zero_point):
             raise ValueError("scale must be real, zero_point integral")
 

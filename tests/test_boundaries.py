@@ -2,7 +2,8 @@
 
 A name with a leading underscore belongs to its module.  A module that
 needs another's private name should use a public owner of the same rule
-instead, so the rule is stated once.
+instead, so the rule is stated once.  That holds for attributes too: a
+module reads or writes `x._name` only where it defines `_name` itself.
 """
 
 import ast
@@ -21,9 +22,27 @@ def _is_seusim(node: ast.ImportFrom) -> bool:
     return node.level > 0 or (node.module or "").split(".")[0] == "seusim"
 
 
+def _defined(tree) -> set[str]:
+    """Names `tree` defines: its functions and methods, its class attributes
+    and fields, and the targets of its `self.name = ...` assignments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
 def private_uses(source: str) -> list[str]:
     """Private names of other seusim modules that `source` imports, or reads
-    as attributes of a seusim module it imported."""
+    as attributes of a seusim module it imported, and private attributes it
+    reads or writes on any other object without defining them (`_defined`)."""
     tree = ast.parse(source)
     modules, uses = set(), []
     for node in ast.walk(tree):
@@ -37,10 +56,13 @@ def private_uses(source: str) -> list[str]:
             for alias in node.names:
                 if alias.name.split(".")[0] == "seusim":
                     modules.add(alias.asname or alias.name.split(".")[0])
+    defined = _defined(tree)
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and _private(node.attr)
-                and isinstance(node.value, ast.Name) and node.value.id in modules):
-            uses.append(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                uses.append(f"{node.value.id}.{node.attr}")
+            elif node.attr not in defined:
+                uses.append(ast.unparse(node))
     return uses
 
 
@@ -59,6 +81,21 @@ def test_private_uses_finds_both_forms():
     )
     assert sorted(private_uses(source)) == [
         "camp._json_value", "errormodel._p_fi", "from .model import _execute", "zoo._logits"]
+
+
+def test_private_uses_finds_attributes_defined_elsewhere():
+    source = (
+        "class Graph:\n"
+        "    _cache: dict = None\n"
+        "    _size = 0\n"
+        "    def _step(self):\n"
+        "        self._count = self._size\n"
+        "def run(g, h):\n"
+        "    g._cache, g._step(), h.model._count, g.__dict__\n"
+        "    g._active_fault = None\n"
+        "    return h.model._active_fault, g._size._bits\n"
+    )
+    assert sorted(private_uses(source)) == ["g._active_fault", "g._size._bits", "h.model._active_fault"]
 
 
 def _calls(tree, owner: str, name: str) -> list[str]:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from seusim.campaign import (
     aggregate,
     config_from_dict,
     golden_run,
+    injections,
     pixel_mismatch_rate,
     plan,
     read_matrix_csv,
@@ -139,6 +141,21 @@ class TestPlan:
         with pytest.raises(ValueError, match="empty fault space"):
             plan(g, CampaignConfig(layers=(99,)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("layers", ()), ("layers", (0, -1)), ("bits", ()), ("bits", (-1,)), ("bits", (30, 32)), ("bits", (30, 40)),
+    ])
+    def test_filters_out_of_range_rejected(self, field, value):
+        # a bit wider than every dtype, like a negative id, selects nothing
+        with pytest.raises(ValueError, match=f"{field} filter must be a non-empty set"):
+            CampaignConfig(**{field: value})
+
+    @pytest.mark.parametrize("layers, named", [((0, 99), "99"), ((0, 2, 4), "2"), ((99, 4, 98), "98, 99")])
+    def test_layer_filter_names_the_layers_without_fault_sites(self, layers, named):
+        # 99 is no layer and 2 an activation, which holds no parameter
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        with pytest.raises(ValueError, match=f"layers filter: no fault sites in layer {named} "):
+            plan(g, CampaignConfig(layers=layers))
+
     def test_stratified_int8_plan_counts_the_draws(self):
         # bits 8-31 exist only in the int32 biases, so their quotas are capped
         q = readme_int8_unet()
@@ -150,7 +167,7 @@ class TestPlan:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["uniform_layer", "stratified_per_bit"]), st.integers(1, 400),
-           st.one_of(st.none(), st.lists(st.integers(0, 40)).flatmap(  # at least one bit < 8
+           st.one_of(st.none(), st.lists(st.integers(0, 31)).flatmap(  # at least one bit < 8
                lambda bs: st.integers(0, 7).map(lambda b: (*bs, b)))),
            st.sampled_from([ALL_PARAM_KINDS, frozenset({ParamKind.ConvBias}),
                             frozenset({ParamKind.BNVar, ParamKind.ConvWeight})]),
@@ -299,6 +316,40 @@ class TestRunCampaign:
             run_campaign(g, cfg, jobs=2)
         ran = next(calls) - 1
         assert 3 <= ran < n // 2
+
+    def test_stream_is_the_campaign_at_any_job_count(self):
+        g, cfg = tiny_campaign_config(cap=5)
+        cfg = replace(cfg, inputs=(cfg.inputs[0], synthetic_input(g, 16, 16, seed=2)))
+        expected = run_campaign(g, cfg)[0]
+        for jobs in (1, 2, 3, 8):
+            assert list(injections(g, cfg, jobs)) == run_campaign(g, cfg, jobs)[0] == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("stop", ["raise", "close"])
+    def test_stopping_the_stream_cancels_the_injections_not_started(self, monkeypatch, jobs, stop):
+        g, cfg = tiny_campaign_config(cap=20)
+        n = plan(g, cfg).total_injections()
+        assert n >= 100
+        calls = itertools.count()  # next() is atomic, so two workers number their calls apart
+        real = camp.faulted_classes
+
+        def counted(*args):
+            next(calls)
+            return real(*args)
+
+        monkeypatch.setattr(camp, "faulted_classes", counted)
+        if stop == "close":
+            stream = injections(g, cfg, jobs)
+            next(stream)
+            stream.close()
+        else:
+            with pytest.raises(RuntimeError):
+                for k, _ in enumerate(injections(g, cfg, jobs)):  # the loop holds the only reference
+                    if k == 2:
+                        raise RuntimeError("consumer failed")
+        ran = next(calls)
+        time.sleep(0.2)
+        assert next(calls) == ran + 1 and ran < n // 2
 
     def test_locations_unique_and_in_space(self):
         g, cfg = tiny_campaign_config(cap=40)

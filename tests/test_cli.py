@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import hashlib
+import itertools
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
+import seusim.campaign as camp
 from seusim.cli import main
 from seusim.modelio import load_model
+from tests.test_model import UNLOADABLE_MODELS, save_unloadable_model
 
 
 def sha(path):
@@ -221,6 +226,86 @@ class TestPlanRun:
         recorded = {o["path"]: o["sha256"] for o in manifest["outputs"]}
         assert recorded == {"records.csv": sha(d / "records.csv"),
                             "matrix.csv": sha(d / "matrix.csv")}
+
+    @pytest.mark.parametrize("config, named", [
+        ({"layers": [0, 99]}, "layers filter: no fault sites in layer 99 "),
+        ({"layers": [0, 2]}, "layers filter: no fault sites in layer 2 "),
+        ({"layers": []}, "layers filter must be a non-empty set of non-negative layer ids, got ()"),
+        ({"layers": [0, -1]}, "layers filter must be a non-empty set of non-negative layer ids, got (0, -1)"),
+        ({"bits": [30, 40]}, "bits filter must be a non-empty set of positions in 0..31, got (30, 40)"),
+    ])
+    def test_filters_that_select_nothing_exit_2(self, tmp_path, model_file, capsys, config, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("plan", "--model", model_file, "--config", cfg) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(UNLOADABLE_MODELS))
+    def test_unloadable_model_exits_2(self, tmp_path, config_file, capsys, case):
+        path = tmp_path / "m.bin"
+        save_unloadable_model(path, case)
+        assert run_cli("run", "--model", path, "--config", config_file, "--out-dir", tmp_path / "r") == 2
+        assert re.search(UNLOADABLE_MODELS[case], capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    def test_config_error_keeps_an_earlier_runs_files(self, tmp_path, model_file, config_file, capsys):
+        # the stream checks the config before records.csv is opened
+        d = tmp_path / "r"
+        assert run_cli("run", "--model", model_file, "--config", config_file, "--out-dir", d) == 0
+        written = {p.name: p.read_bytes() for p in d.iterdir()}
+        assert sorted(written) == ["manifest.json", "matrix.csv", "records.csv"]
+        inputs = json.loads(config_file.read_text())["inputs"]
+        cfg = tmp_path / "c.json"
+        for config, named in (({"seed": 5}, "at least one input"), ({"layers": [99], "inputs": inputs}, "empty"),
+                              ({"layers": [0, 99], "inputs": inputs}, "layer 99")):
+            cfg.write_text(json.dumps(config))
+            for out in (d, tmp_path / "fresh"):
+                assert run_cli("run", "--model", model_file, "--config", cfg, "--out-dir", out) == 2
+                assert named in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in d.iterdir()} == written
+            assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("where", ["worker", "writer"])
+    def test_interrupted_run_leaves_complete_rows_and_no_matrix(self, tmp_path, model_file, monkeypatch, where):
+        # Ctrl-C at the 40th injection, or in the writer after 40 rows, of a 140-injection run
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5, "cap": 20, "inputs": [{"synthetic": {"height": 16, "width": 16}}]}))
+        d = tmp_path / "r"
+        args = ("run", "--model", model_file, "--config", cfg, "--out-dir", d, "--jobs", 2)
+        assert run_cli(*args) == 0
+        full = (d / "records.csv").read_bytes()
+        n = full.count(b"\r\n") - 1
+        assert n >= 100
+        calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
+        real_score, real_write = camp.faulted_classes, camp.write_records_csv
+
+        def score(*args):
+            if next(calls) == 40 and where == "worker":
+                raise KeyboardInterrupt
+            return real_score(*args)
+
+        def write(path, records):
+            def first_40():
+                for k, r in enumerate(records):
+                    if k == 40:
+                        raise KeyboardInterrupt
+                    yield r
+
+            real_write(path, first_40() if where == "writer" else records)
+
+        monkeypatch.setattr(camp, "faulted_classes", score)
+        monkeypatch.setattr(camp, "write_records_csv", write)
+        # the traceback keeps cmd_run's frame, and so the stream, alive, as an uncaught
+        # Ctrl-C does while the interpreter exits: only closing the stream stops it
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            run_cli(*args)
+        ran = next(calls)
+        time.sleep(0.2)
+        assert next(calls) == ran + 1 and ran - 1 < n // 2
+        part = (d / "records.csv").read_bytes()
+        assert full.startswith(part) and part.endswith(b"\r\n")
+        assert part.count(b"\r\n") - 1 == (39 if where == "worker" else 40)
+        assert sorted(p.name for p in d.iterdir()) == ["records.csv"]
 
     def test_missing_model_file_is_data_error(self, tmp_path, config_file):
         assert run_cli("run", "--model", tmp_path / "nope.bin", "--config", config_file,

@@ -119,7 +119,7 @@ def _readme_unets():
 
 
 SAMPLER_CAPS = (1, 7, 1550)
-SAMPLER_BITS = (None, (30, 31), tuple(range(8)), (3, 9, 23, 31, 40))
+SAMPLER_BITS = (None, (30, 31), tuple(range(8)), (3, 9, 23, 31))
 SAMPLER_KINDS = (ALL_PARAM_KINDS, frozenset({ParamKind.ConvBias}))
 
 
@@ -189,7 +189,6 @@ def test_derived_models_accept_faults():
     g = _unet("relu", 5)
     handle = apply_fault(g, FaultLocation(0, ParamKind.ConvWeight, 3, 2))
     for m in _derived(g, 5):
-        assert m._active_fault is None
         revert(apply_fault(m, FaultLocation(0, ParamKind.ConvBias, 0, 31)))
     revert(handle)
 

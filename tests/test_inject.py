@@ -142,13 +142,20 @@ class TestApplyRevert:
         revert(handle)
         assert model_digest(model) == before
 
-    def test_double_apply_rejected(self, model):
-        loc = FaultLocation(0, ParamKind.ConvWeight, 0, 0)
-        handle = apply_fault(model, loc)
-        with pytest.raises(FaultStateError):
-            apply_fault(model, loc)
-        revert(handle)
-        apply_fault(model, loc)  # fine again after revert
+    def test_stacked_faults_restore_in_reverse_order(self, model):
+        # three faults on one element, the first and last on one bit, then one on another
+        pristine = model.copy()
+        locs = [FaultLocation(0, ParamKind.ConvWeight, 0, 0), FaultLocation(0, ParamKind.ConvWeight, 0, 30),
+                FaultLocation(0, ParamKind.ConvWeight, 0, 0), FaultLocation(1, ParamKind.BNGamma, 2, 31)]
+        handles = [apply_fault(model, loc) for loc in locs]
+        assert not model.bit_equal(pristine)
+        for h in handles[:2]:  # each skips a later fault on its element
+            with pytest.raises(FaultStateError):
+                revert(h)
+        revert(handles[3])  # another element's fault may go first
+        for h in reversed(handles[:3]):
+            revert(h)
+        assert model.bit_equal(pristine)
 
     def test_double_revert_rejected(self, model):
         handle = apply_fault(model, FaultLocation(0, ParamKind.ConvWeight, 0, 0))

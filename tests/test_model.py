@@ -1,5 +1,7 @@
 """Model zoo: graph construction, fault space, probe models, file format."""
 
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +156,35 @@ class TestFaultSpace:
         assert space.total() == sum(space.layer_total(lid) for lid in space.layer_ids())
 
 
+# what loading each of these model files must report; a NaN passes a `<= 0` test
+UNLOADABLE_MODELS = {
+    "bn_var_nan": r"batch_norm 5 var \+ eps must be positive",
+    "bn_eps_nan": r"batch_norm 5 var \+ eps must be positive",
+    "input_scale_inf": "scale must be positive and finite, got inf",
+}
+
+
+def save_unloadable_model(path, case: str) -> None:
+    """A model file that must not load: batch_norm 5 of the depth-1 U-Net
+    with a NaN variance or eps, or its int8 form with an infinite input scale."""
+    from seusim.compress import fold_batch_norm, quantize_model
+
+    g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+    if case == "bn_var_nan":
+        g.nodes[5].params[ParamKind.BNVar].data[1] = np.nan
+    if case == "bn_eps_nan":
+        g.nodes[5].eps = float("nan")
+    if case != "input_scale_inf":
+        save_model(g, path)
+        return
+    q = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=0)])
+    blob = serialize_model(q)
+    scale = struct.pack("<di", q.input_quant.scale, q.input_quant.zero_point)
+    assert blob.count(scale) == 1
+    body = blob[:-4].replace(scale, struct.pack("<di", np.inf, q.input_quant.zero_point))
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
 class TestModelFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         g = build_unet(depth=2, base_channels=4, n_input_channels=3, n_classes=6,
@@ -221,6 +252,13 @@ class TestModelFile:
         path = tmp_path / "m.bin"
         save_model(g, path)
         with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(UNLOADABLE_MODELS))
+    def test_non_finite_values_do_not_load(self, tmp_path, case):
+        path = tmp_path / "m.bin"
+        save_unloadable_model(path, case)
+        with pytest.raises(ValueError, match=UNLOADABLE_MODELS[case]):
             load_model(path)
 
     def test_truncated_file_reports_corrupt(self, tmp_path):

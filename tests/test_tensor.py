@@ -670,6 +670,11 @@ class TestQuantHelpers:
         with pytest.raises(ValueError):
             QuantParams(-1.0, 0)
 
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+            QuantParams(scale, 0)
+
     def test_tensor_quant_consistency(self):
         with pytest.raises(ValueError, match="requires QuantParams"):
             Tensor(np.zeros(3, dtype=np.int8), "i8")
