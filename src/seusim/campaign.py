@@ -22,14 +22,15 @@ node's output (`seusim.model.golden_trace`).  The worker threads share it
 and the caller's model, read-only.  An injection recomputes only the one
 output channel its parameter feeds, from the fault's own faulted copy of
 the channel's parameter slice, splices it into a copy of that node's
-golden output, and runs the node's descendants in full
-(`seusim.model.faulted_classes`).  The golden run also keeps the output
-conv's sums before its bias, so a fault in one of its biases recomputes
-no conv: it finishes a copy of its class channel's golden sums with the
-faulted bias.  The class map is bit-identical to a full forward pass:
-each channel's sum is independent of the other filters, a one-filter
-slice reduces over (c, i, j) in the same order, and the bias is added
-after the sums.
+golden output, runs the node's descendants in full, and counts the pixels
+whose class changed (`seusim.model.faulted_changed_pixels`); a fault in
+the output conv is scored against per-class golden planes and builds no
+class map.  The golden run also keeps the output conv's sums before its
+bias, so a fault in one of its biases recomputes no conv: it finishes a
+copy of its class channel's golden sums with the faulted bias.  The count
+is that of a full forward pass: each channel's sum is independent of the
+other filters, a one-filter slice reduces over (c, i, j) in the same
+order, and the bias is added after the sums.
 `injections` is the one loop of a campaign; each injection is one task.
 At jobs = 1 they run in plan order on the caller's thread; at jobs > 1 a
 thread pool hands the next injection to whichever worker is idle, so the
@@ -62,7 +63,7 @@ from .model import (
     ModelGraph,
     ParamKind,
     enumerate_fault_space,
-    faulted_classes,
+    faulted_changed_pixels,
     golden_trace,
     predict_classes,
 )
@@ -313,7 +314,7 @@ def _inject(model: ModelGraph, goldens, loc: FaultLocation) -> list[InjectionRec
             field=cls.field,
             post_kind=cls.post_kind,
             input_id=input_id,
-            error_rate=pixel_mismatch_rate(golden.classes, faulted_classes(model, golden, fault)),
+            error_rate=float(faulted_changed_pixels(model, golden, fault) / golden.classes.size),
         )
         for input_id, golden in enumerate(goldens)
     ]

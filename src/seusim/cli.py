@@ -5,7 +5,7 @@ Every file-producing command returns what it wrote, and `main` writes its
 manifest (`FILE.manifest.json` for `--out FILE`) with content digests so
 outputs are reproducible from (config, seed, model hash).
 
-Exit codes: 0 success, 1 usage, 2 data/validation, 3 internal.
+Exit codes: 0 success, 1 usage, 2 data/validation, 3 internal, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -479,6 +479,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, ModelFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print(f"interrupted: {args.command} stopped; its outputs may be partial, with no manifest", file=sys.stderr)
+        return 130
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -146,7 +146,7 @@ class ChannelFault(NamedTuple):
 
 
 def channel_fault(model: ModelGraph, loc: FaultLocation) -> ChannelFault:
-    """`loc` as a value for `seusim.model.faulted_classes`; `model` is only read."""
+    """`loc` as a value for `seusim.model.faulted_changed_pixels`; `model` is only read."""
     t = _locate(model, loc)
     channel, offset = divmod(loc.index, t.size // t.shape[0])
     param = Tensor(t.data[channel : channel + 1].copy(), t.dtype, t.quant)

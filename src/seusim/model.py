@@ -277,11 +277,6 @@ def predict_classes(graph: ModelGraph, x: Tensor) -> np.ndarray:
 # faulted forward: recompute only what one parameter fault can reach
 # ---------------------------------------------------------------------------
 
-def _class_keys(v: np.ndarray) -> np.ndarray:
-    """argmax_classes' ranking keys: NaN ranks as -inf, int8 codes as themselves."""
-    return np.fmax(v, np.float32(-np.inf)) if v.dtype == np.float32 else v.astype(np.int32)
-
-
 @dataclass(frozen=True)
 class GoldenTrace:
     """Fault-free activations of a model on one input, shared read-only by
@@ -290,23 +285,38 @@ class GoldenTrace:
     `sums` holds the output conv's sums before its bias (`conv2d_sums`,
     [1, n_classes, H, W], float64 or int32), so a fault in one of its
     biases finishes one class channel from them instead of running a conv.
-    `top` holds, per pixel, the largest class key (`k1`), the lowest class
-    that reaches it (`c1`), and the same over the other classes (`k2`, `c2`).
-    A fault in output channel o then only has to beat the best of the other
-    classes, (k1, c1), or (k2, c2) where o is c1, instead of re-ranking
-    every class.  It is None for a one-class model.
+    A fault in output channel o changes only o's keys (f32 logits with NaN
+    as -inf, or int8 codes as int32), so per class o the trace keeps
+    `rival[o]`, the key o must exceed to take a pixel (the larger of the
+    lower classes' best key and the next key below the higher classes'
+    best, since a tie goes to the lowest class), `was_top[o]`, where o is
+    the golden class (both [n_classes, H, W]), and `rival_neg_inf[o]`:
+    whether `rival[o]` is -inf anywhere, where a NaN or -inf key of o needs
+    `argmax_classes`' full ranking.
     """
 
     x: Tensor  # prepared model input
     produced: dict[int, Tensor]
     sums: np.ndarray
     classes: np.ndarray
-    top: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    rival: np.ndarray
+    was_top: np.ndarray
+    rival_neg_inf: np.ndarray
 
 
 def _first_input(n: LayerNode, produced: dict[int, Tensor], x: Tensor) -> Tensor:
     """What node `n` reads first: a producer's output in `produced`, or `x`."""
     return produced[n.inputs[0]] if n.inputs else x
+
+
+def _next_below(key: np.ndarray) -> np.ndarray:
+    """`np.nextafter(key, -inf)` for float32 `key` without NaN, several times faster."""
+    bits = key.view(np.int32)
+    out = bits - 1  # a positive float's bits rise with its value
+    out += (bits < 0) * np.int32(2)  # a negative float's, -0.0 too (by wrapping), with its magnitude
+    np.copyto(out, np.iinfo(np.int32).min + 1, where=bits == 0)  # the negative subnormal below +0.0
+    np.copyto(out, bits, where=key == -np.inf)
+    return out.view(np.float32)
 
 
 def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
@@ -319,18 +329,22 @@ def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
     sums = conv2d_sums(src, weight, head.stride, head.padding)
     produced[head.id] = conv2d_finish(sums, src, weight, bias, head.out_quant)
     logits = _logits(produced[head.id])
-    top = None
-    if graph.n_classes > 1:
-        key = _class_keys(logits.data)
-        c1 = np.argmax(key, axis=0)  # keys hold no NaN, so the first maximum: the lowest class
-        k1 = np.take_along_axis(key, c1[None], axis=0)[0]
-        floor = -np.inf if key.dtype == np.float32 else np.iinfo(np.int32).min
-        rest = key.copy()
-        np.put_along_axis(rest, c1[None], floor, axis=0)
-        c2 = np.argmax(rest, axis=0)
-        k2 = np.take_along_axis(rest, c2[None], axis=0)[0]
-        top = (k1, c1.astype(np.int32), k2, c2.astype(np.int32))
-    return GoldenTrace(v, produced, sums, argmax_classes(logits), top)
+    classes = argmax_classes(logits)
+    if logits.dtype == "f32":
+        key, floor = np.fmax(logits.data, np.float32(-np.inf)), -np.inf  # NaN ranks as -inf
+        reach = _next_below(key)
+    else:
+        key, floor = logits.data.astype(np.int32), np.iinfo(np.int32).min
+        reach = key - 1
+    rival = np.full_like(key, floor)
+    for o in range(1, graph.n_classes):  # the lower classes' best key, which o must exceed
+        np.maximum(rival[o - 1], key[o - 1], out=rival[o])
+    best = np.full_like(key[0], floor)
+    for o in reversed(range(graph.n_classes - 1)):  # the higher classes' best key, which o must reach
+        np.maximum(best, reach[o + 1], out=best)
+        np.maximum(rival[o], best, out=rival[o])
+    was_top = classes == np.arange(graph.n_classes)[:, None, None]
+    return GoldenTrace(v, produced, sums, classes, rival, was_top, (rival == -np.inf).any(axis=(1, 2)))
 
 
 def _one_channel(n: LayerNode, fault: ChannelFault, golden: GoldenTrace) -> Tensor:
@@ -383,54 +397,43 @@ def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) 
     return replay(graph, golden, layer_id, Tensor(spliced, base.dtype, base.quant))
 
 
-def _bit_select(mask: np.ndarray, a: np.ndarray, b) -> np.ndarray:
-    """`np.where(mask, b, a)` for 4-byte `a` and `b`, as a ^ ((a ^ b) & -mask)
-    on their int32 views: exact for every bit pattern, -0.0, infinities and
-    NaN payloads included, and without the branch on each element that
-    makes `np.where` slow on a mask that follows the data."""
-    ones = mask.astype(np.int32)
-    np.negative(ones, out=ones)  # 0 or all ones
-    a = a.view(np.int32)
-    out = np.bitwise_xor(a, b.view(np.int32))
-    out &= ones
-    out ^= a
-    return out
-
-
 def faulted_classes(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> np.ndarray:
-    """`argmax_classes(faulted_logits(...))`, bit for bit.
+    """Class map [H, W] of `graph` with `fault` applied."""
+    return argmax_classes(faulted_logits(graph, golden, fault))
 
-    A fault in the output node changes one class channel only; it is then
-    ranked against the golden top two keys instead of every class.  A bias
+
+def faulted_changed_pixels(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> int:
+    """The number of pixels whose class `fault` changes:
+    `np.count_nonzero(faulted_classes(...) != golden.classes)`, exactly.
+
+    A fault in output channel o changes only o's keys, so o takes a pixel
+    where its key exceeds `golden.rival[o]`, and the pixel changes where
+    that differs from `golden.was_top[o]`; no class map is built.  A bias
     fault there finishes the golden sums of that channel with the faulted
     bias instead of running the conv: the bias is added after the sums.
     """
     head = graph.nodes[-1]
-    if fault.location.layer_id != head.id or golden.top is None:
-        return argmax_classes(faulted_logits(graph, golden, fault))
-    channel = fault.channel
+    if fault.location.layer_id != head.id:
+        return np.count_nonzero(faulted_classes(graph, golden, fault) != golden.classes)
+    o = fault.channel
     if fault.location.kind is ParamKind.ConvBias:
         src = _first_input(head, golden.produced, golden.x)
-        new = conv2d_finish(golden.sums[:, channel : channel + 1], src, head.params[ParamKind.ConvWeight],
+        new = conv2d_finish(golden.sums[:, o : o + 1], src, head.params[ParamKind.ConvWeight],
                             fault.param, head.out_quant)
     else:
         new = _one_channel(head, fault, golden)
     new = new.data[0, 0]
-    key = _class_keys(new)
-    k1, c1, k2, c2 = golden.top
-    was_top = c1 == channel
-    rival = _bit_select(was_top, k1, k2).view(key.dtype)  # best key over the other classes
-    holder = _bit_select(was_top, c1, c2)  # lowest class holding it
-    wins = (key > rival) | ((key == rival) & (channel < holder))
-    classes = _bit_select(wins, holder, np.int32(channel))
-    if new.dtype == np.float32:
-        # where every key is -inf, argmax_classes ranks NaN below -inf
-        low = np.maximum(key, rival) == -np.inf
+    rival = golden.rival[o]
+    changed = new > rival  # a NaN key, ranked as -inf, exceeds nothing
+    changed ^= golden.was_top[o]
+    if golden.rival_neg_inf[o]:
+        # where o's key and its rival are both -inf, argmax_classes ranks NaN below -inf
+        low = np.fmax(new, rival) == -np.inf
         if low.any():
             logits = golden.produced[head.id].data[0].copy()
-            logits[channel] = new
-            classes[low] = argmax_classes(Tensor(logits, "f32"))[low]
-    return classes
+            logits[o] = new
+            changed[low] = argmax_classes(Tensor(logits, "f32"))[low] != golden.classes[low]
+    return np.count_nonzero(changed)
 
 
 # ---------------------------------------------------------------------------

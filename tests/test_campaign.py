@@ -282,7 +282,7 @@ class TestRunCampaign:
         g, cfg = tiny_campaign_config()
         before = g.copy()
         calls = []
-        real = camp.faulted_classes
+        real = camp.faulted_changed_pixels
 
         def interrupt_third(*args):
             calls.append(args)
@@ -290,7 +290,7 @@ class TestRunCampaign:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(camp, "faulted_classes", interrupt_third)
+        monkeypatch.setattr(camp, "faulted_changed_pixels", interrupt_third)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(g, cfg, jobs=1)
         assert len(calls) == 3
@@ -304,14 +304,14 @@ class TestRunCampaign:
         n = plan(g, cfg).total_injections()
         assert n >= 100
         calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
-        real = camp.faulted_classes
+        real = camp.faulted_changed_pixels
 
         def interrupt_third(*args):
             if next(calls) == 3:
                 raise KeyboardInterrupt
             return real(*args)
 
-        monkeypatch.setattr(camp, "faulted_classes", interrupt_third)
+        monkeypatch.setattr(camp, "faulted_changed_pixels", interrupt_third)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(g, cfg, jobs=2)
         ran = next(calls) - 1
@@ -331,13 +331,13 @@ class TestRunCampaign:
         n = plan(g, cfg).total_injections()
         assert n >= 100
         calls = itertools.count()  # next() is atomic, so two workers number their calls apart
-        real = camp.faulted_classes
+        real = camp.faulted_changed_pixels
 
         def counted(*args):
             next(calls)
             return real(*args)
 
-        monkeypatch.setattr(camp, "faulted_classes", counted)
+        monkeypatch.setattr(camp, "faulted_changed_pixels", counted)
         if stop == "close":
             stream = injections(g, cfg, jobs)
             next(stream)

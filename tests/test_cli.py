@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import seusim.campaign as camp
-from seusim.cli import main
+from seusim.cli import build_parser, cmd_run, main
 from seusim.modelio import load_model
 from tests.test_model import UNLOADABLE_MODELS, save_unloadable_model
 
@@ -265,19 +265,18 @@ class TestPlanRun:
             assert {p.name: p.read_bytes() for p in d.iterdir()} == written
             assert not (tmp_path / "fresh").exists()
 
-    @pytest.mark.parametrize("where", ["worker", "writer"])
-    def test_interrupted_run_leaves_complete_rows_and_no_matrix(self, tmp_path, model_file, monkeypatch, where):
-        # Ctrl-C at the 40th injection, or in the writer after 40 rows, of a 140-injection run
+    @staticmethod
+    def _interruptible_run(tmp_path, model_file, monkeypatch, where):
+        """The argv of a 140-injection run, the records.csv it writes, and a
+        counter of its injections; once this returns, a run with that argv
+        meets Ctrl-C at its 40th injection, or in the writer after 40 rows."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 5, "cap": 20, "inputs": [{"synthetic": {"height": 16, "width": 16}}]}))
-        d = tmp_path / "r"
-        args = ("run", "--model", model_file, "--config", cfg, "--out-dir", d, "--jobs", 2)
+        args = ("run", "--model", model_file, "--config", cfg, "--out-dir", tmp_path / "r", "--jobs", 2)
         assert run_cli(*args) == 0
-        full = (d / "records.csv").read_bytes()
-        n = full.count(b"\r\n") - 1
-        assert n >= 100
+        full = (tmp_path / "r" / "records.csv").read_bytes()
         calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
-        real_score, real_write = camp.faulted_classes, camp.write_records_csv
+        real_score, real_write = camp.faulted_changed_pixels, camp.write_records_csv
 
         def score(*args):
             if next(calls) == 40 and where == "worker":
@@ -293,12 +292,14 @@ class TestPlanRun:
 
             real_write(path, first_40() if where == "writer" else records)
 
-        monkeypatch.setattr(camp, "faulted_classes", score)
+        monkeypatch.setattr(camp, "faulted_changed_pixels", score)
         monkeypatch.setattr(camp, "write_records_csv", write)
-        # the traceback keeps cmd_run's frame, and so the stream, alive, as an uncaught
-        # Ctrl-C does while the interpreter exits: only closing the stream stops it
-        with pytest.raises(KeyboardInterrupt) as interrupt:
-            run_cli(*args)
+        return [str(a) for a in args], full, calls
+
+    @staticmethod
+    def _check_interrupted(d, full, calls, where):
+        n = full.count(b"\r\n") - 1
+        assert n >= 100
         ran = next(calls)
         time.sleep(0.2)
         assert next(calls) == ran + 1 and ran - 1 < n // 2
@@ -306,6 +307,25 @@ class TestPlanRun:
         assert full.startswith(part) and part.endswith(b"\r\n")
         assert part.count(b"\r\n") - 1 == (39 if where == "worker" else 40)
         assert sorted(p.name for p in d.iterdir()) == ["records.csv"]
+
+    @pytest.mark.parametrize("where", ["worker", "writer"])
+    def test_interrupted_run_leaves_complete_rows_and_no_matrix(self, tmp_path, model_file, monkeypatch, capsys,
+                                                                where):
+        args, full, calls = self._interruptible_run(tmp_path, model_file, monkeypatch, where)
+        capsys.readouterr()
+        assert main(args) == 130
+        err = capsys.readouterr().err
+        assert err.startswith("interrupted: run stopped") and err.count("\n") == 1
+        self._check_interrupted(tmp_path / "r", full, calls, where)
+
+    def test_interrupt_with_its_traceback_held_stops_the_stream(self, tmp_path, model_file, monkeypatch):
+        # the traceback keeps cmd_run's frame, and so the stream, alive, as a
+        # caller that keeps the exception does: only closing the stream stops it
+        args, full, calls = self._interruptible_run(tmp_path, model_file, monkeypatch, "writer")
+        with pytest.raises(KeyboardInterrupt) as interrupt:
+            cmd_run(build_parser().parse_args(args))
+        self._check_interrupted(tmp_path / "r", full, calls, "writer")
+        del interrupt
 
     def test_missing_model_file_is_data_error(self, tmp_path, config_file):
         assert run_cli("run", "--model", tmp_path / "nope.bin", "--config", config_file,

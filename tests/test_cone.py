@@ -1,10 +1,11 @@
 """Differential tests: the cone-only faulted forward against the full one.
 
-`faulted_logits` and `faulted_classes` take a fault built as a value on
-the clean model and recompute only the faulted channel and its
-descendants; their logits must equal `run_model`'s on the model with the
-fault applied in place, bit for bit, and their class map
-`predict_classes`'.
+`faulted_logits`, `faulted_classes` and `faulted_changed_pixels` take a
+fault built as a value on the clean model and recompute only the faulted
+channel and its descendants; their logits must equal `run_model`'s on the
+model with the fault applied in place, bit for bit, their class map
+`predict_classes`', and their count of changed pixels the mismatch
+against the golden class map.
 """
 
 import numpy as np
@@ -12,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seusim.campaign import pixel_mismatch_rate
 from seusim.compress import fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, channel_fault, revert
 from seusim.model import (
     ALL_PARAM_KINDS,
     ParamKind,
+    _next_below,
     build_bias_probe_model,
     build_unet,
+    faulted_changed_pixels,
     faulted_classes,
     faulted_logits,
     golden_trace,
@@ -46,6 +50,9 @@ def _build():
     # +-1 and +-1.5 become +-Inf and NaN at bit 30
     out["bias_probe"] = build_bias_probe_model([1.0, -1.5, 0.25, -1.0], [0.1, 0.4, 0.3, 0.2], seed=2,
                                                image_hw=(8, 8))
+    # classes 1 and 2 tie on every pixel, so most faults there keep or break a tie
+    g = single_conv_model(out_ch=3, in_ch=1, weights=np.array([0.5, 1.0, 1.0]).reshape(3, 1, 1, 1))
+    out["ties"] = (g, Tensor(np.random.default_rng(6).normal(size=(1, 8, 8)).astype(np.float32), "f32"))
     return {name: (g, x, golden_trace(g, x)) for name, (g, x) in out.items()}
 
 
@@ -60,12 +67,16 @@ def check_location(g, x, golden, loc):
     fault = channel_fault(g, loc)
     cone = faulted_logits(g, golden, fault)
     classes = faulted_classes(g, golden, fault)
+    changed = faulted_changed_pixels(g, golden, fault)
     handle = apply_fault(g, loc)
     try:
         full = run_model(g, x)
         assert cone.dtype == full.dtype and cone.quant == full.quant
         assert np.array_equal(cone.raw_bits(), full.raw_bits()), loc
-        assert np.array_equal(classes, predict_classes(g, x)), loc
+        faulty = predict_classes(g, x)
+        assert np.array_equal(classes, faulty), loc
+        assert changed == np.count_nonzero(faulty != golden.classes), loc
+        assert changed / golden.classes.size == pixel_mismatch_rate(golden.classes, faulty), loc
         return full.dtype == "f32" and not np.isfinite(full.data).all()
     finally:
         revert(handle)
@@ -104,7 +115,7 @@ def test_exponent_msb_and_sign_flips_of_every_kind(name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_every_output_layer_parameter_bit(name):
-    # faults in the output conv are ranked against the golden top two keys;
+    # faults in the output conv are scored against the golden per-class planes;
     # a bias fault there finishes the golden sums instead of running the conv
     g, x, golden = MODELS[name]
     last = g.nodes[-1]
@@ -148,10 +159,82 @@ def test_one_class_model():
     g = single_conv_model(out_ch=1, in_ch=2, weights=np.full((1, 2, 1, 1), 0.5))
     x = synthetic_input(g, 4, 4, seed=0)
     golden = golden_trace(g, x)
-    assert golden.top is None
+    assert np.isneginf(golden.rival).all() and golden.was_top.all()  # no other class to beat
     for kind, t in g.nodes[0].params.items():
         for bit in range(32):
             check_location(g, x, golden, FaultLocation(0, kind, t.size - 1, bit))
+
+
+def _readme_model(name):
+    """The README U-Net at 32x32 (relu, hard_sigmoid, or relu folded and
+    quantized to int8), or a 32x32 bias probe, and its input."""
+    if name == "bias_probe":
+        return build_bias_probe_model([0.3, -1.0, 1.5, -0.2, 1.0, -1.5], [0.0, 0.45, 0.05, 0.27, 0.07, 0.16],
+                                      seed=3, image_hw=(32, 32))
+    g = build_unet(depth=2, base_channels=8, n_input_channels=3, n_classes=6,
+                   activation_kind="hard_sigmoid" if name == "hard_sigmoid" else "relu", seed=0)
+    x = synthetic_input(g, 32, 32, seed=1)
+    if name == "int8":
+        g = quantize_model(fold_batch_norm(g), [x, synthetic_input(g, 32, 32, seed=2)])
+    return g, x
+
+
+@pytest.mark.parametrize("name", ["relu", "hard_sigmoid", "int8", "bias_probe"])
+def test_output_layer_count_matches_full_forward_on_readme_models(name):
+    # every (class, bit) of the head bias and 48 seeded (weight, bit) draws
+    g, x = _readme_model(name)
+    golden = golden_trace(g, x)
+    head = g.nodes[-1]
+    bias, weight = head.params[ParamKind.ConvBias], head.params[ParamKind.ConvWeight]
+    locs = [FaultLocation(head.id, ParamKind.ConvBias, c, b) for c in range(bias.size) for b in range(bias.bit_width)]
+    rng = np.random.default_rng(9)
+    locs += [FaultLocation(head.id, ParamKind.ConvWeight, int(i), int(b))
+             for i, b in zip(rng.integers(0, weight.size, 48), rng.integers(0, weight.bit_width, 48))]
+    changed = 0
+    for loc in locs:
+        check_location(g, x, golden, loc)
+        changed += faulted_changed_pixels(g, golden, channel_fault(g, loc)) > 0
+    assert changed > 0
+
+
+@pytest.mark.parametrize("kind", [ParamKind.ConvWeight, ParamKind.ConvBias])
+def test_minus_inf_class_keeps_its_pixels_over_nan(kind):
+    # class 0 is NaN everywhere; bit 30 turns class 1's weight 1.0 into +inf,
+    # or its bias -1.0 into -inf, so class 1 is -inf where x < 0, or
+    # everywhere: -inf still ranks above NaN, so class 1 keeps every pixel
+    g = single_conv_model(out_ch=2, in_ch=1, weights=np.array([np.nan, 1.0]).reshape(2, 1, 1, 1),
+                          biases=[0.0, -1.0])
+    x = Tensor(np.array([[[-2.0, 3.0]]], dtype=np.float32), "f32")
+    golden = golden_trace(g, x)
+    np.testing.assert_array_equal(golden.classes, [[1, 1]])
+    loc = FaultLocation(0, kind, 1, 30)
+    check_location(g, x, golden, loc)
+    assert np.isneginf(faulted_logits(g, golden, channel_fault(g, loc)).data[1, 0, 0])
+    assert faulted_changed_pixels(g, golden, channel_fault(g, loc)) == 0
+
+
+def test_nan_class_takes_an_all_minus_inf_pixel():
+    # class 0's NaN bias makes it NaN everywhere, and class 1 is -inf where
+    # x < 0, so that pixel's golden class is 1 (NaN ranks below -inf) though
+    # both keys rank as -inf; bit 30 turns the NaN bias into 1.5, which takes it
+    g = single_conv_model(out_ch=2, in_ch=1, weights=np.array([0.0, 1e30]).reshape(2, 1, 1, 1),
+                          biases=[np.nan, 0.0])
+    x = Tensor(np.array([[[-1e30, 1.0]]], dtype=np.float32), "f32")
+    golden = golden_trace(g, x)
+    np.testing.assert_array_equal(golden.classes, [[1, 1]])
+    loc = FaultLocation(0, ParamKind.ConvBias, 0, 30)
+    check_location(g, x, golden, loc)
+    assert faulted_changed_pixels(g, golden, channel_fault(g, loc)) == 1
+
+
+def test_next_below_is_nextafter():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 1e-45, -1e-45, 1.2e-38, -1.2e-38,
+                        3.4028235e38, -3.4028235e38], dtype=np.float32)
+    noise = np.random.default_rng(7).integers(-(2**31), 2**31, 10**5).astype(np.int32).view(np.float32)
+    for key in (special, noise[~np.isnan(noise)]):
+        with np.errstate(over="ignore"):  # -FLT_MAX steps to -inf
+            expected = np.nextafter(key, np.float32(-np.inf))
+        np.testing.assert_array_equal(_next_below(key).view(np.int32), expected.view(np.int32))
 
 
 def test_golden_trace_is_not_mutated():

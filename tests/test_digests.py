@@ -24,7 +24,7 @@ import pytest
 from seusim.campaign import SAMPLING_MODES, CampaignConfig, plan, run_campaign, write_records_csv
 from seusim.compress import PRUNE_RATIOS, PruningPlan, apply_prune, fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, revert
-from seusim.model import ALL_PARAM_KINDS, ParamKind, build_unet, synthetic_input
+from seusim.model import ALL_PARAM_KINDS, ParamKind, build_bias_probe_model, build_unet, synthetic_input
 from seusim.modelio import serialize_model
 
 
@@ -71,13 +71,26 @@ def _nan_bits():
     return g, CampaignConfig(cap=6, seed=24, bits=(30, 31), included_kinds=ALL_PARAM_KINDS, inputs=xs)
 
 
-# digests recorded before the cone-only faulted forward replaced the full one
+def _bias_probe():
+    # every bit of every output bias (6 x 32 = 192 faults; e small enough
+    # that n = N), on two class layouts; bit 30 turns +-1 and +-1.5 into
+    # +-Inf and NaN
+    biases, freqs = [0.25, -1.0, 1.5, -0.5, 1.0, -1.5], [0.0, 0.45, 0.05, 0.27, 0.07, 0.16]
+    g, x = build_bias_probe_model(biases, freqs, seed=26, image_hw=(32, 32))
+    _, x2 = build_bias_probe_model(biases, freqs, seed=27, image_hw=(32, 32))
+    return g, CampaignConfig(e=0.001, cap=192, seed=0, layers=(g.nodes[-1].id,),
+                             included_kinds=frozenset({ParamKind.ConvBias}), inputs=(x, x2))
+
+
+# digests recorded before the cone-only faulted forward replaced the full one,
+# bias_probe before output-layer faults were scored against per-class planes
 CORPUS = {
     "relu": (_relu, "4d617db1c68b3d421f825c0f02b3de56376874c0ab63ea277fc2e418a70b219c"),
     "hard_sigmoid": (_hard_sigmoid, "6e04bb837bf72dcb2a8a72ce8fbde7a7a75e51cdd2571a602f09babf06cfb5d3"),
     "int8": (_int8, "c93e023fd3c95315a4cf478047ef061f0b32db5ebb9284a522950eebf0b31f63"),
     "int8_wide": (_int8_wide, "27c765d75a3fa7bdc4aa494943568ac404c41b2a3bb150b6401c04009fa7fdbc"),
     "nan_bits_30_31": (_nan_bits, "0c9924a954289bb2994317b34875c05fa33da7d0780bcb9b30cbfa79cb64e106"),
+    "bias_probe": (_bias_probe, "aa8803ee6d224633e969f0deafd09f2622a48fdd2a3b04d1aad910655786a66a"),
 }
 
 
