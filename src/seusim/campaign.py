@@ -27,7 +27,10 @@ whose class changed (`seusim.model.faulted_changed_pixels`); a fault in
 the output conv is scored against per-class golden planes and builds no
 class map.  The golden run also keeps the output conv's sums before its
 bias, so a fault in one of its biases recomputes no conv: it finishes a
-copy of its class channel's golden sums with the faulted bias.  The count
+copy of its class channel's golden sums with the faulted bias.  On an
+int8 model it also keeps the forward's lookup tables and, per conv, the
+padded operand of its golden input, so an injection builds no table and
+its one-filter slice pads and converts nothing.  The count
 is that of a full forward pass: each channel's sum is independent of the
 other filters, a one-filter slice reduces over (c, i, j) in the same
 order, and the bias is added after the sums.

@@ -192,9 +192,13 @@ def cmd_run(args) -> dict:
     with closing(camp.injections(graph, config, jobs=args.jobs)) as records:
         out_dir = _out_dir(args)
         records_path, matrix_path, manifest_path = (out_dir / n for n in ("records.csv", "matrix.csv", "manifest.json"))
-        for stale in (matrix_path, manifest_path):  # an interrupted run leaves none of another run
+        for stale in (records_path, matrix_path, manifest_path):  # an interrupted run leaves none of another run
             stale.unlink(missing_ok=True)
-        camp.write_records_csv(records_path, records)
+        try:
+            camp.write_records_csv(records_path, records)
+        except KeyboardInterrupt:
+            rows = records_path.read_bytes().count(b"\r\n") - 1 if records_path.exists() else 0
+            raise KeyboardInterrupt(f"{records_path} keeps {max(rows, 0)} complete rows") from None
     matrix = camp.aggregate(camp.read_records_csv(records_path))
     camp.write_matrix_csv(matrix_path, matrix)
     summary = {
@@ -479,8 +483,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, ModelFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print(f"interrupted: {args.command} stopped; its outputs may be partial, with no manifest", file=sys.stderr)
+    except KeyboardInterrupt as e:  # its message, if any, says what the command kept
+        kept = e.args[0] if e.args else "its outputs may be partial"
+        print(f"interrupted: {args.command} stopped; {kept}, with no manifest", file=sys.stderr)
         return 130
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -20,14 +20,18 @@ from .tensor import (
     QuantParams,
     Tensor,
     activation,
+    activation_lut,
     argmax_classes,
     batch_norm,
     concat_channels,
     conv2d,
     conv2d_finish,
+    conv2d_operand,
     conv2d_sums,
+    default_activation_quant,
     max_pool2,
     quantize_affine,
+    requantize_lut,
     upsample2,
 )
 
@@ -201,7 +205,31 @@ def _prepare_input(graph: ModelGraph, x: Tensor) -> Tensor:
     return v
 
 
-def _conv(n: LayerNode, srcs: list[Tensor]) -> Tensor:
+def _int8_tables(graph: ModelGraph, in_quant: QuantParams | None) -> dict:
+    """The lookup tables of a forward of `graph` whose prepared input carries
+    `in_quant`: per activation node its `activation_lut`, per concat node a
+    tuple of one `requantize_lut` per input, None where the input's
+    QuantParams are the target's already.  Empty for a float forward.  They
+    depend on QuantParams alone, which no parameter fault changes."""
+    if in_quant is None:
+        return {}
+    quant, tables = {}, {}
+    for n in graph.nodes:
+        src = [quant[i] for i in n.inputs] if n.inputs else [in_quant]
+        out = n.out_quant
+        if n.kind == "activation":
+            out = out or default_activation_quant(n.act, src[0])
+            tables[n.id] = activation_lut(n.act, src[0], out)
+        elif n.kind == "concat":
+            out = out or src[0]
+            tables[n.id] = tuple(None if q == out else requantize_lut(q, out) for q in src)
+        elif n.kind != "conv":
+            out = src[0]
+        quant[n.id] = out
+    return tables
+
+
+def _conv(n: LayerNode, srcs: list[Tensor], _) -> Tensor:
     return conv2d(
         srcs[0],
         n.params[ParamKind.ConvWeight],
@@ -212,7 +240,7 @@ def _conv(n: LayerNode, srcs: list[Tensor]) -> Tensor:
     )
 
 
-def _batch_norm(n: LayerNode, srcs: list[Tensor]) -> Tensor:
+def _batch_norm(n: LayerNode, srcs: list[Tensor], _) -> Tensor:
     p = n.params
     return batch_norm(
         srcs[0], p[ParamKind.BNGamma], p[ParamKind.BNBeta], p[ParamKind.BNMean], p[ParamKind.BNVar],
@@ -220,39 +248,44 @@ def _batch_norm(n: LayerNode, srcs: list[Tensor]) -> Tensor:
     )
 
 
-def _concat(n: LayerNode, srcs: list[Tensor]) -> Tensor:
-    out = srcs[0]
-    for extra in srcs[1:]:
-        out = concat_channels(out, extra, out_quant=n.out_quant)
+def _concat(n: LayerNode, srcs: list[Tensor], luts) -> Tensor:
+    luts = luts or (None,) * len(srcs)
+    out, first = srcs[0], luts[0]
+    for extra, lut in zip(srcs[1:], luts[1:]):
+        out = concat_channels(out, extra, out_quant=n.out_quant, luts=(first, lut))
+        first = None  # `out` carries the target QuantParams now
     return out
 
 
-# one entry per layer kind; the kernels are looked up in this module's
-# globals at call time, so a caller may rebind them (for tracing, say)
+# one entry per layer kind, called with the node, its inputs and its entry
+# of `_int8_tables`; the kernels are looked up in this module's globals at
+# call time, so a caller may rebind them (for tracing, say)
 _KERNELS = {
     "conv": _conv,
     "batch_norm": _batch_norm,
-    "activation": lambda n, srcs: activation(srcs[0], n.act, out_quant=n.out_quant),
-    "max_pool2": lambda n, srcs: max_pool2(srcs[0]),
-    "upsample2": lambda n, srcs: upsample2(srcs[0]),
+    "activation": lambda n, srcs, lut: activation(srcs[0], n.act, out_quant=n.out_quant, lut=lut),
+    "max_pool2": lambda n, srcs, _: max_pool2(srcs[0]),
+    "upsample2": lambda n, srcs, _: upsample2(srcs[0]),
     "concat": _concat,
 }
 
 
-def _execute(nodes, v: Tensor, produced: dict[int, Tensor]) -> dict[int, Tensor]:
+def _execute(nodes, v: Tensor, produced: dict[int, Tensor], tables: dict) -> dict[int, Tensor]:
     """Run `nodes` in order, reading inputs from `produced` (or `v`, the
-    prepared model input) and storing each output there."""
+    prepared model input) and storing each output there; `tables` is the
+    forward's `_int8_tables`."""
     for n in nodes:
         kernel = _KERNELS.get(n.kind)
         if kernel is None:
             raise ValueError(f"unknown layer kind {n.kind!r}")
-        produced[n.id] = kernel(n, [produced[i] for i in n.inputs] if n.inputs else [v])
+        produced[n.id] = kernel(n, [produced[i] for i in n.inputs] if n.inputs else [v], tables.get(n.id))
     return produced
 
 
 def run_model_trace(graph: ModelGraph, x: Tensor) -> dict[int, Tensor]:
     """Execute the graph and keep every node's output (for calibration)."""
-    return _execute(graph.nodes, _prepare_input(graph, x), {})
+    v = _prepare_input(graph, x)
+    return _execute(graph.nodes, v, {}, _int8_tables(graph, v.quant))
 
 
 def _logits(out: Tensor) -> Tensor:
@@ -293,6 +326,13 @@ class GoldenTrace:
     the golden class (both [n_classes, H, W]), and `rival_neg_inf[o]`:
     whether `rival[o]` is -inf anywhere, where a NaN or -inf key of o needs
     `argmax_classes`' full ranking.
+
+    On an int8 model the trace also keeps what no parameter fault changes,
+    built once here instead of in every faulted forward: `tables`, the
+    forward's lookup tables (`_int8_tables`), and `operands`, per conv node
+    the zero-padded float operand of its golden input with the zero point
+    subtracted (`conv2d_operand`), which every one-filter slice of that
+    conv reads.  Both are empty on a float model.
     """
 
     x: Tensor  # prepared model input
@@ -302,6 +342,8 @@ class GoldenTrace:
     rival: np.ndarray
     was_top: np.ndarray
     rival_neg_inf: np.ndarray
+    tables: dict
+    operands: dict[int, np.ndarray]
 
 
 def _first_input(n: LayerNode, produced: dict[int, Tensor], x: Tensor) -> Tensor:
@@ -322,8 +364,9 @@ def _next_below(key: np.ndarray) -> np.ndarray:
 def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
     """Run the fault-free graph on `x` once, keeping what faulted forwards reuse."""
     v = _prepare_input(graph, x)
+    tables = _int8_tables(graph, v.quant)
     *body, head = graph.nodes
-    produced = _execute(body, v, {})
+    produced = _execute(body, v, {}, tables)
     src = _first_input(head, produced, v)
     weight, bias = head.params[ParamKind.ConvWeight], head.params[ParamKind.ConvBias]
     sums = conv2d_sums(src, weight, head.stride, head.padding)
@@ -344,19 +387,30 @@ def golden_trace(graph: ModelGraph, x: Tensor) -> GoldenTrace:
         np.maximum(best, reach[o + 1], out=best)
         np.maximum(rival[o], best, out=rival[o])
     was_top = classes == np.arange(graph.n_classes)[:, None, None]
-    return GoldenTrace(v, produced, sums, classes, rival, was_top, (rival == -np.inf).any(axis=(1, 2)))
+    operands = {} if v.dtype == "f32" else {
+        n.id: conv2d_operand(_first_input(n, produced, v), n.params[ParamKind.ConvWeight], n.padding)
+        for n in graph.nodes if n.kind == "conv"
+    }
+    return GoldenTrace(v, produced, sums, classes, rival, was_top, (rival == -np.inf).any(axis=(1, 2)),
+                       tables, operands)
 
 
 def _one_channel(n: LayerNode, fault: ChannelFault, golden: GoldenTrace) -> Tensor:
     """Output channel `fault.channel` of node `n` on golden inputs, computed by
-    the node's own kernel on the faulted one-filter or one-channel slice."""
+    the node's own kernel on the faulted one-filter or one-channel slice; an
+    int8 conv's from the operand `golden` keeps."""
     c = fault.channel
     src = _first_input(n, golden.produced, golden.x)
     if n.kind == "batch_norm":
         src = Tensor(src.data[:, c : c + 1], src.dtype, src.quant)
     params = {k: Tensor(t.data[c : c + 1], t.dtype, t.quant) for k, t in n.params.items()}
     params[fault.location.kind] = fault.param
-    return _KERNELS[n.kind](replace(n, params=params), [src])
+    operand = golden.operands.get(n.id)
+    if operand is None:
+        return _KERNELS[n.kind](replace(n, params=params), [src], None)
+    weight = params[ParamKind.ConvWeight]
+    sums = conv2d_sums(src, weight, n.stride, n.padding, operand)
+    return conv2d_finish(sums, src, weight, params[ParamKind.ConvBias], n.out_quant)
 
 
 def descendants(graph: ModelGraph, layer_id: int) -> list[LayerNode]:
@@ -377,7 +431,7 @@ def replay(graph: ModelGraph, golden: GoldenTrace, layer_id: int, output: Tensor
     `golden.produced` needs only the outputs they read from outside
     themselves, and the output node's if it is not one of them."""
     produced = {**golden.produced, layer_id: output}
-    return _logits(_execute(descendants(graph, layer_id), golden.x, produced)[graph.nodes[-1].id])
+    return _logits(_execute(descendants(graph, layer_id), golden.x, produced, golden.tables)[graph.nodes[-1].id])
 
 
 def faulted_logits(graph: ModelGraph, golden: GoldenTrace, fault: ChannelFault) -> Tensor:

@@ -32,9 +32,16 @@ every call of that size on the calling thread, a one-filter slice's GEMV
 included: it first threads a GEMV, float32 or float64, at m*n = 460800
 (OpenBLAS 0.3.31, 2 CPUs, seen as CPU time on its helper thread).  Thread
 count never changes a bit of the sums.
-The int32 bias is added in int32, then the sums are requantized.
-Requantizing int8 codes, in a concat or an activation, is a gather through
-a 256-entry table.
+The int32 bias is added in int32, wrapping as an int32 accumulator does,
+then the sums are requantized in one float64 buffer: scaled, rounded half
+to even, shifted by the zero point and clipped in place, then cast to int8
+once.  Requantizing int8 codes, in a concat or an activation, is a gather
+through a 256-entry table.  Both kernels take the table from their caller
+if it built one; `seusim.model` builds a forward's tables up front, and a
+campaign builds them once with its golden run, so no injection builds
+one.  Likewise a caller may keep an int8 conv's padded operand
+(`conv2d_operand`) and pass it to `conv2d_sums` for every one-filter slice
+of that conv on the same input.
 
 Both convs pad into a zeroed buffer, writing the input into its interior
 with one call.  Pooling is two pairwise `np.maximum` passes over strided
@@ -250,9 +257,24 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     return out.reshape(n, oc, oh, ow)
 
 
-def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, padding: int):
+def _int_ftype(taps: int):
+    """The float type whose integers hold every sum of an int8 conv of `taps` taps."""
+    return np.float32 if taps * _INT_PRODUCT_MAX <= 2**24 else np.float64
+
+
+def _int_operand(x: np.ndarray, zero_point: int, ftype, padding: int) -> np.ndarray:
+    """int8 NCHW codes `x` less `zero_point` in a zeroed `ftype` buffer with
+    `padding` on each spatial side."""
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), ftype)
+    np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=ftype)
+    return xp
+
+
+def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, padding: int, xp=None):
     """Integer convolution sums of int8 NCHW codes `x` less `zero_point`
-    with int8 `w`, as int32.  Zero padding follows the subtraction.
+    with int8 `w`, as int32.  Zero padding follows the subtraction; `xp`,
+    if given, is that padded operand (`_int_operand`), already built.
 
     kn2row (Vasudevan, Anderson & Gregg, ASAP 2017) as one batched matmul
     per column block.  The padded input's spatial axes are flattened:
@@ -286,9 +308,12 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
         raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
-    ftype = np.float32 if k * _INT_PRODUCT_MAX <= 2**24 else np.float64
-    xp = np.zeros((n, c, ph, pw), ftype)
-    np.subtract(x, zero_point, out=xp[:, :, padding : padding + h, padding : padding + wd], dtype=ftype)
+    ftype = _int_ftype(k)
+    if xp is None:
+        xp = _int_operand(x, zero_point, ftype, padding)
+    elif xp.shape != (n, c, ph, pw) or xp.dtype != ftype:
+        raise ValueError(f"operand {xp.shape} of {xp.dtype} is not the padded {ftype.__name__} "
+                         f"operand of a {x.shape} input with padding {padding}")
     wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=ftype)
     span = (oh - 1) * pw + ow  # columns up to the last output
     step = min(max(1, _GEMM_MACS // (oc * max(c, kh * kw))), span)
@@ -304,9 +329,23 @@ def _conv_int(x: np.ndarray, zero_point: int, w: np.ndarray, stride: int, paddin
     return out.reshape(n, oc, oh, pw)[..., :ow]
 
 
-def conv2d_sums(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) -> np.ndarray:
+def conv2d_operand(x: Tensor, weight: Tensor, padding: int = 0) -> np.ndarray:
+    """What the integer path of `conv2d_sums(x, weight, ...)` builds first:
+    `x`'s codes less their zero point, zero-padded, in float32 or float64 by
+    the taps of `weight` (`_conv_int`).  No fault in `weight` changes it, so a
+    caller may keep it for every one-filter slice of a conv on `x`."""
+    if x.dtype != "i8" or x.data.ndim != 4 or weight.data.ndim != 4:
+        raise ValueError(f"a conv operand needs a 4-D int8 input and 4-D weights, got {x!r}, {weight!r}")
+    return _int_operand(x.data, x.quant.zero_point, _int_ftype(int(np.prod(weight.shape[1:]))), padding)
+
+
+def conv2d_sums(
+    x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, operand: np.ndarray | None = None
+) -> np.ndarray:
     """The sums of `conv2d` before its bias, NCHW: float64 on the float path,
-    int32 on the integer path (`_conv_accumulate`, `_conv_int`)."""
+    int32 on the integer path (`_conv_accumulate`, `_conv_int`).  `operand`,
+    integer path only, is `conv2d_operand(x, weight, padding)` kept by the
+    caller, so the input is not padded and converted again."""
     if x.data.ndim != 4:
         raise ValueError(f"conv2d input must be 4-D NCHW, got {x.shape}")
     if weight.data.ndim != 4:
@@ -314,6 +353,8 @@ def conv2d_sums(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
     if x.shape[1] != weight.shape[1]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, weight expects {weight.shape[1]}")
     if x.dtype == "f32" and weight.dtype == "f32":
+        if operand is not None:
+            raise ValueError("a kept conv operand is for the integer path only")
         with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
             # products of f32 values are exact in f64; only the ordered f64 sums round
             return _conv_accumulate(x.data, weight.data, stride, padding)
@@ -321,7 +362,7 @@ def conv2d_sums(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0) ->
         if x.quant is None or weight.quant is None:
             raise ValueError("integer conv requires QuantParams on all operands")
         # subtracting the zero point first makes zero padding represent real 0
-        return _conv_int(x.data, x.quant.zero_point, weight.data, stride, padding)
+        return _conv_int(x.data, x.quant.zero_point, weight.data, stride, padding, operand)
     raise ValueError(f"unsupported conv dtype combination ({x.dtype}, {weight.dtype})")
 
 
@@ -336,7 +377,8 @@ def conv2d_finish(
     Float path: the f64 sums plus the bias, rounded once to f32.  Integer
     path: the bias added in int32, so a large (faulted) bias wraps around,
     then requantized to `out_quant` with round-to-nearest-even and
-    saturation to [-128, 127]; the scale comes from `x` and `weight`.
+    saturation to [-128, 127] in one float64 buffer; the scale comes from
+    `x` and `weight`.
     """
     if bias.shape != (sums.shape[1],):
         raise ValueError(f"bias shape {bias.shape} does not match {sums.shape[1]} filters")
@@ -354,8 +396,11 @@ def conv2d_finish(
     if out_quant is None:
         raise ValueError("integer conv requires out_quant")
     m = (x.quant.scale * weight.quant.scale) / out_quant.scale
-    q = np.round((sums + b).astype(np.float64) * m) + out_quant.zero_point
-    return Tensor(np.clip(q, QMIN, QMAX).astype(np.int8), "i8", out_quant)
+    q = np.multiply(sums + b, m, dtype=np.float64)
+    np.rint(q, out=q)
+    q += out_quant.zero_point
+    np.clip(q, QMIN, QMAX, out=q)
+    return Tensor(q.astype(np.int8), "i8", out_quant)
 
 
 def conv2d(
@@ -419,19 +464,24 @@ def activation_lut(kind: str, in_quant: QuantParams, out_quant: QuantParams) -> 
     return quantize_affine(_F32_ACTIVATIONS[kind](real), out_quant)
 
 
-def _default_act_out_quant(kind: str, in_quant: QuantParams) -> QuantParams:
+def default_activation_quant(kind: str, in_quant: QuantParams) -> QuantParams:
+    """The output QuantParams of an int8 activation given none: relu keeps
+    its input's, the bounded kinds map [0, 1] onto the code range."""
     if kind == "relu":
         return in_quant
     # bounded activations land in [0, 1]
     return QuantParams(1.0 / 255.0, QMIN)
 
 
-def activation(x: Tensor, kind: str, out_quant: QuantParams | None = None) -> Tensor:
+def activation(
+    x: Tensor, kind: str, out_quant: QuantParams | None = None, lut: np.ndarray | None = None
+) -> Tensor:
     """Apply an activation function.
 
     The f32 path propagates NaN for every kind (corruption is the
     phenomenon under study, never masked).  The int8 path goes through a
-    256-entry lookup keyed by the input's QuantParams.
+    256-entry lookup keyed by the input's QuantParams: `lut`, the caller's
+    `activation_lut(kind, x.quant, out_quant)`, or one built here.
     """
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation {kind!r}")
@@ -440,8 +490,10 @@ def activation(x: Tensor, kind: str, out_quant: QuantParams | None = None) -> Te
             return Tensor(_F32_ACTIVATIONS[kind](x.data), "f32")
     if x.dtype == "i8":
         if out_quant is None:
-            out_quant = _default_act_out_quant(kind, x.quant)
-        return Tensor(lookup_codes(activation_lut(kind, x.quant, out_quant), x.data), "i8", out_quant)
+            out_quant = default_activation_quant(kind, x.quant)
+        if lut is None:
+            lut = activation_lut(kind, x.quant, out_quant)
+        return Tensor(lookup_codes(lut, x.data), "i8", out_quant)
     raise ValueError(f"activation not defined for dtype {x.dtype}")
 
 
@@ -480,17 +532,26 @@ def upsample2(x: Tensor) -> Tensor:
     return Tensor(out.reshape(n, c, 2 * h, 2 * w), x.dtype, x.quant)
 
 
-def concat_channels(a: Tensor, b: Tensor, out_quant: QuantParams | None = None) -> Tensor:
-    """Channel-axis concatenation, a's channels first."""
+def concat_channels(a: Tensor, b: Tensor, out_quant: QuantParams | None = None, luts=(None, None)) -> Tensor:
+    """Channel-axis concatenation, a's channels first.
+
+    int8 inputs are requantized to `out_quant` (a's QuantParams if None)
+    through a 256-entry table each: its entry in `luts`, the caller's
+    `requantize_lut(quant, out_quant)`, or one built here where the input's
+    QuantParams differ from `out_quant`.
+    """
     if a.dtype != b.dtype:
         raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"spatial shape mismatch: {a.shape} vs {b.shape}")
     if a.dtype == "i8":
         target = out_quant if out_quant is not None else a.quant
-        da = a.data if a.quant == target else lookup_codes(requantize_lut(a.quant, target), a.data)
-        db = b.data if b.quant == target else lookup_codes(requantize_lut(b.quant, target), b.data)
-        return Tensor(np.concatenate([da, db], axis=1), "i8", target)
+        parts = []
+        for t, lut in zip((a, b), luts):
+            if lut is None and t.quant != target:
+                lut = requantize_lut(t.quant, target)
+            parts.append(t.data if lut is None else lookup_codes(lut, t.data))
+        return Tensor(np.concatenate(parts, axis=1), "i8", target)
     return Tensor(np.concatenate([a.data, b.data], axis=1), a.dtype, a.quant)
 
 

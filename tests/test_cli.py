@@ -317,6 +317,8 @@ class TestPlanRun:
         err = capsys.readouterr().err
         assert err.startswith("interrupted: run stopped") and err.count("\n") == 1
         self._check_interrupted(tmp_path / "r", full, calls, where)
+        rows = 39 if where == "worker" else 40
+        assert f"{tmp_path / 'r' / 'records.csv'} keeps {rows} complete rows, with no manifest" in err
 
     def test_interrupt_with_its_traceback_held_stops_the_stream(self, tmp_path, model_file, monkeypatch):
         # the traceback keeps cmd_run's frame, and so the stream, alive, as a

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seusim.tensor
 from seusim.campaign import pixel_mismatch_rate
 from seusim.compress import fold_batch_norm, quantize_model
 from seusim.inject import FaultLocation, apply_fault, channel_fault, revert
@@ -44,9 +45,10 @@ def _build():
     for act in ("relu", "hard_sigmoid", "sigmoid"):
         g = _unet(act)
         out[act] = (g, synthetic_input(g, 8, 8, seed=4))
-    g = fold_batch_norm(_unet("relu"))
-    x = synthetic_input(g, 8, 8, seed=5)
-    out["int8"] = (quantize_model(g, [x]), x)
+    for act in ("relu", "hard_sigmoid"):
+        g = fold_batch_norm(_unet(act))
+        x = synthetic_input(g, 8, 8, seed=5)
+        out["int8" if act == "relu" else "int8_hard_sigmoid"] = (quantize_model(g, [x]), x)
     # +-1 and +-1.5 become +-Inf and NaN at bit 30
     out["bias_probe"] = build_bias_probe_model([1.0, -1.5, 0.25, -1.0], [0.1, 0.4, 0.3, 0.2], seed=2,
                                                image_hw=(8, 8))
@@ -237,19 +239,59 @@ def test_next_below_is_nextafter():
         np.testing.assert_array_equal(_next_below(key).view(np.int32), expected.view(np.int32))
 
 
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
 def test_golden_trace_is_not_mutated():
-    # the kept output-conv sums too, which an output bias fault finishes
-    for name in ("relu", "int8"):
+    # the kept output-conv sums too, which an output bias fault finishes, and
+    # on int8 the kept lookup tables and conv operands, which faulted forwards read
+    for name in ("relu", "int8", "int8_hard_sigmoid"):
         g, x, golden = MODELS[name]
         before = {i: t.data.copy() for i, t in golden.produced.items()}
         sums = golden.sums.copy()
+        tables = {i: [_bits(t) for t in (v if isinstance(v, tuple) else (v,))] for i, v in golden.tables.items()}
+        operands = {i: _bits(a) for i, a in golden.operands.items()}
         last = g.nodes[-1].id
-        for loc in (FaultLocation(0, ParamKind.ConvBias, 1, 30), FaultLocation(last, ParamKind.ConvBias, 1, 30),
-                    FaultLocation(last, ParamKind.ConvBias, 2, 31)):
+        locs = [FaultLocation(0, ParamKind.ConvBias, 1, 30), FaultLocation(last, ParamKind.ConvBias, 1, 30),
+                FaultLocation(last, ParamKind.ConvBias, 2, 31)]
+        locs += [FaultLocation(n.id, ParamKind.ConvWeight, 5, 7) for n in g.nodes if n.kind == "conv"]
+        for loc in locs:
             check_location(g, x, golden, loc)
         assert all(np.array_equal(before[i].view(np.uint8), t.data.view(np.uint8))
                    for i, t in golden.produced.items())
         assert sums.dtype == golden.sums.dtype and np.array_equal(sums.view(np.uint8), golden.sums.view(np.uint8))
+        assert tables == {i: [_bits(t) for t in (v if isinstance(v, tuple) else (v,))]
+                          for i, v in golden.tables.items()}
+        assert operands == {i: _bits(a) for i, a in golden.operands.items()}
+        assert bool(tables) == bool(operands) == (name != "relu")
+
+
+@pytest.mark.parametrize("name", ["int8", "int8_hard_sigmoid"])
+def test_faulted_forwards_build_no_lookup_table(name, monkeypatch):
+    # the golden trace keeps one table per activation and one per concat
+    # input whose quant differs from the target; a faulted forward reuses them
+    g, x, golden = MODELS[name]
+    assert {n.id for n in g.nodes if n.kind in ("activation", "concat")} == set(golden.tables)
+    assert any(t is not None for n in g.nodes if n.kind == "concat" for t in golden.tables[n.id])
+    assert {n.id for n in g.nodes if n.kind == "conv"} == set(golden.operands)
+    rng = np.random.default_rng(8)
+    locs = [FaultLocation(lid, kind, int(rng.integers(t.size)), int(rng.integers(t.bit_width)))
+            for lid, kind, t in locations(g) for _ in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("a faulted forward built a lookup table")
+
+    monkeypatch.setattr(seusim.tensor, "activation_lut", refuse)
+    monkeypatch.setattr(seusim.tensor, "requantize_lut", refuse)
+    cone = [faulted_logits(g, golden, channel_fault(g, loc)) for loc in locs]
+    monkeypatch.undo()
+    for loc, logits in zip(locs, cone):
+        handle = apply_fault(g, loc)
+        try:
+            assert logits.raw_bits().tobytes() == run_model(g, x).raw_bits().tobytes(), loc
+        finally:
+            revert(handle)
 
 
 def _flip_element(values, index, bit, raw):

@@ -64,6 +64,16 @@ def _int8_wide():
                              included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
 
 
+def _int8_hard_sigmoid():
+    # every int8 activation a 256-entry hard_sigmoid table; model seed 26
+    # predicts three classes at 32x32, where most seeds predict one
+    g = fold_batch_norm(_unet("hard_sigmoid", 26))
+    x = synthetic_input(g, 32, 32, seed=39)
+    q = quantize_model(g, [x, synthetic_input(g, 32, 32, seed=40)])
+    return q, CampaignConfig(cap=16, seed=26, sampling="stratified_per_bit", inputs=(x,),
+                             included_kinds=frozenset({ParamKind.ConvWeight, ParamKind.ConvBias}))
+
+
 def _nan_bits():
     # exponent-MSB and sign flips over every parameter kind, two inputs
     g = _unet("relu", 14)
@@ -83,11 +93,13 @@ def _bias_probe():
 
 
 # digests recorded before the cone-only faulted forward replaced the full one,
-# bias_probe before output-layer faults were scored against per-class planes
+# bias_probe before output-layer faults were scored against per-class planes,
+# int8_hard_sigmoid before int8 lookup tables were kept with the golden run
 CORPUS = {
     "relu": (_relu, "4d617db1c68b3d421f825c0f02b3de56376874c0ab63ea277fc2e418a70b219c"),
     "hard_sigmoid": (_hard_sigmoid, "6e04bb837bf72dcb2a8a72ce8fbde7a7a75e51cdd2571a602f09babf06cfb5d3"),
     "int8": (_int8, "c93e023fd3c95315a4cf478047ef061f0b32db5ebb9284a522950eebf0b31f63"),
+    "int8_hard_sigmoid": (_int8_hard_sigmoid, "36ffacbfd166b5e5cbadcefa4ccde4068140d4affd752fc084fe87e8bc9cc68a"),
     "int8_wide": (_int8_wide, "27c765d75a3fa7bdc4aa494943568ac404c41b2a3bb150b6401c04009fa7fdbc"),
     "nan_bits_30_31": (_nan_bits, "0c9924a954289bb2994317b34875c05fa33da7d0780bcb9b30cbfa79cb64e106"),
     "bias_probe": (_bias_probe, "aa8803ee6d224633e969f0deafd09f2622a48fdd2a3b04d1aad910655786a66a"),

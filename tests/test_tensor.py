@@ -14,18 +14,25 @@ from seusim.tensor import (
     _GEMM_MACS,
     _IM2COL_BLOCK,
     _conv_int,
+    ACTIVATION_KINDS,
     INT_CONV_MAX_TAPS,
     QuantParams,
     Tensor,
     activation,
+    activation_lut,
     argmax_classes,
     batch_norm,
     choose_affine_params,
     concat_channels,
     conv2d,
+    conv2d_finish,
+    conv2d_operand,
+    conv2d_sums,
+    default_activation_quant,
     dequantize,
     max_pool2,
     quantize_affine,
+    requantize_lut,
     upsample2,
 )
 
@@ -346,6 +353,53 @@ class TestConv2d:
         assert np.all(out.data == 127)  # 10000 clamps, never wraps
         assert out.data.dtype == np.int8
 
+    @pytest.mark.parametrize("m, zero_point", [(0.5, 0), (0.5, -3), (0.25, 7), (2.0**-24, 0),
+                                               (1 / 3, 5), (0.0137, 127)])
+    def test_integer_requantization_matches_the_rounding_formula(self, m, zero_point):
+        # int32 sums near both ends of int32 with biases that wrap them, odd
+        # sums that m = 0.5 or 0.25 puts on exact .5 ties, and outputs on
+        # either side of both saturation edges
+        rng = np.random.default_rng(13)
+        edges = np.round([(e - zero_point) / m + d for e in (-128, 127) for d in (-3, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 3)])
+        sums = np.concatenate([
+            [2**31 - 1, 2**31 - 5, -(2**31), -(2**31) + 5, 0, 1, -1, 3, -3, 5, -5],
+            edges[np.abs(edges) < 2**31], np.arange(-40, 41), rng.integers(-(2**31), 2**31, 200),
+        ]).astype(np.int32)
+        sums = np.tile(sums, (4, 1)).reshape(1, 4, -1, 1)
+        bias = np.array([0, 7, 2**31 - 1, -(2**31)], dtype=np.int32)
+        x = Tensor(np.zeros((1, 1, 1, 1), np.int8), "i8", QuantParams(1.0, 0))
+        w = Tensor(np.zeros((4, 1, 1, 1), np.int8), "i8", QuantParams(m))
+        out = conv2d_finish(sums, x, w, Tensor(bias, "i32", QuantParams(m)), QuantParams(1.0, zero_point))
+        b = bias[None, :, None, None]
+        with np.errstate(over="ignore"):
+            expect = np.clip(np.round((sums + b).astype(np.float64) * m) + zero_point, -128, 127)
+        assert out.data.dtype == np.int8 and out.quant == QuantParams(1.0, zero_point)
+        np.testing.assert_array_equal(out.data, expect.astype(np.int8))
+        wide = sums.astype(np.int64) + b
+        assert (wide > 2**31 - 1).any() and (wide < -(2**31)).any()  # the bias wrapped both ways
+        assert ((sums + b) % 2 == 1).any() and (out.data == -128).any() and (out.data == 127).any()
+
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("taps", [(3, 3), (600, 1)])  # float32, then float64 operands
+    def test_kept_operand_gives_the_same_sums(self, padding, taps):
+        c, k = taps
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.integers(-128, 128, (1, c, 6, 5)).astype(np.int8), "i8", QuantParams(0.1, -7))
+        w = Tensor(rng.integers(-128, 128, (2, c, k, k)).astype(np.int8), "i8", QuantParams(0.01))
+        operand = conv2d_operand(x, w, padding)
+        kept = operand.copy()
+        assert operand.dtype == (np.float32 if c * k * k <= 514 else np.float64)
+        for stride in (1, 2):
+            expect = conv2d_sums(x, w, stride, padding)
+            np.testing.assert_array_equal(conv2d_sums(x, w, stride, padding, operand), expect)
+            one = Tensor(w.data[1:], "i8", w.quant)  # a one-filter slice reads the same operand
+            np.testing.assert_array_equal(conv2d_sums(x, one, stride, padding, operand), expect[:, 1:])
+        np.testing.assert_array_equal(operand, kept)
+        with pytest.raises(ValueError, match="not the padded"):
+            conv2d_sums(x, w, 1, padding + 1, operand)
+        with pytest.raises(ValueError, match="integer path only"):
+            conv2d_sums(t32(np.zeros((1, 1, 3, 3))), t32(np.zeros((1, 1, 1, 1))), operand=operand)
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         x = t32(rng.normal(size=(1, 3, 8, 8)))
@@ -455,6 +509,17 @@ class TestActivation:
         expect = np.clip(real_in / 6 + 0.5, 0, 1)
         got = (out.data.astype(np.float64) - out.quant.zero_point) * out.quant.scale
         np.testing.assert_allclose(got, expect, atol=out.quant.scale / 2 + 1e-12)
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    @pytest.mark.parametrize("out_quant", [None, QuantParams(0.02, -100)])
+    def test_int8_prebuilt_table_is_the_built_one(self, kind, out_quant):
+        x = Tensor(np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8), "i8", QuantParams(0.05, -3))
+        built = activation(x, kind, out_quant)
+        lut = activation_lut(kind, x.quant, out_quant or default_activation_quant(kind, x.quant))
+        given = activation(x, kind, out_quant, lut=lut)
+        assert given.quant == built.quant and given.raw_bits().tobytes() == built.raw_bits().tobytes()
+        # the table given is the one read
+        np.testing.assert_array_equal(activation(x, kind, out_quant, lut=lut[::-1]).data, lut[::-1][x.data.astype(np.int64) + 128])
 
     def test_int8_relu_keeps_scale(self):
         qp = QuantParams(0.1, -4)
@@ -577,6 +642,24 @@ class TestSpatialOps:
         expect = quantize_affine((codes.astype(np.float64) - z1) * s1, dst)
         np.testing.assert_array_equal(out.data[:, :4], expect)
         np.testing.assert_array_equal(out.data[:, 4:], other.data)
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_int8_concat_prebuilt_tables_are_the_built_ones(self, kind):
+        # inputs as an activation of each kind leaves them, in a quant that
+        # differs from the target or equals it
+        codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
+        a = activation(Tensor(codes, "i8", QuantParams(0.05, -3)), kind)
+        for b_quant, dst in ((QuantParams(0.2, 9), QuantParams(0.1, 4)), (a.quant, a.quant), (a.quant, None)):
+            b = Tensor(codes[:, :2], "i8", b_quant)
+            built = concat_channels(a, b, out_quant=dst)
+            target = dst or a.quant
+            luts = tuple(None if t.quant == target else requantize_lut(t.quant, target) for t in (a, b))
+            given = concat_channels(a, b, out_quant=dst, luts=luts)
+            assert given.quant == built.quant == target
+            np.testing.assert_array_equal(given.data, built.data)
+        flip = np.arange(127, -129, -1, dtype=np.int8)  # the tables given are the ones read
+        out = concat_channels(a, b, luts=(flip, None))
+        np.testing.assert_array_equal(out.data[:, :4], flip[a.data.astype(np.int64) + 128])
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
