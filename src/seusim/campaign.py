@@ -18,8 +18,8 @@ of output pixels whose predicted class differs from the golden
 reference.  Results aggregate into a layer x bit-position error matrix.
 
 The golden forward pass runs once per campaign input and keeps every
-node's output (`seusim.model.golden_trace`).  The worker threads share it
-and the caller's model, read-only.  An injection recomputes only the one
+node's output (`seusim.model.golden_trace`).  The workers inherit it and
+the caller's model, and only read them.  An injection recomputes only the one
 output channel its parameter feeds, from the fault's own faulted copy of
 the channel's parameter slice, splices it into a copy of that node's
 golden output, runs the node's descendants in full, and counts the pixels
@@ -34,24 +34,44 @@ its one-filter slice pads and converts nothing.  The count
 is that of a full forward pass: each channel's sum is independent of the
 other filters, a one-filter slice reduces over (c, i, j) in the same
 order, and the bias is added after the sums.
-`injections` is the one loop of a campaign; each injection is one task.
-At jobs = 1 they run in plan order on the caller's thread; at jobs > 1 a
-thread pool hands the next injection to whichever worker is idle, so the
-costly early layers spread without a fixed deal.  Either way the records
-come in plan order, then input order.  Closing the iterator, or an
-exception or interrupt while it is read, cancels every injection not yet
-started.  `seusim run` writes each record as its injection finishes and
-computes the matrix from `records.csv`.
+`injections` is the one loop of a campaign.  Its workers are processes,
+and the caller is one of them: at jobs = k it forks k - 1 workers, so at
+jobs = 1 it forks nothing and runs the same loop alone.  The workers
+inherit the model, the golden traces and the injection function by fork,
+so nothing is pickled on the way in; each sends back, over its own
+pipe, only each injection's fault fields and error rates, or its
+exception, and the caller builds the records.
+Whichever worker is idle, the caller included, takes the next plan index
+from a pipe that the caller feeds, so the costly early layers spread
+without a fixed deal, but the caller feeds no index more than 8 plan
+positions per job past the record the stream yields next, so a stream
+stopped mid-way has started few injections past its last record however
+its processes were scheduled.  The records come in plan order, then
+input order, at any job count; an injection's exception is raised at its
+turn, after every earlier record, and no injection starts after it.
+Workers ignore SIGINT, so a Ctrl-C reaches only the caller.  Closing the
+iterator, or an exception, interrupt or garbage collection while it is
+read, terminates and reaps every worker; a worker whose caller was killed
+finds the pipe's end once the indices in it are spent, and ends.  A worker
+that ends before the campaign does, whatever its exit code, makes the
+stream raise RuntimeError.  Fork is the only start method used, so
+jobs > 1 needs Linux or another POSIX system.
+`seusim run` writes each record as its injection finishes and computes
+the matrix from `records.csv`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import select
+import selectors
+import signal
+import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import astuple, dataclass
 from functools import partial
 
@@ -303,24 +323,25 @@ def aggregate(records: list[InjectionRecord]) -> ErrorMatrix:
     return ErrorMatrix(cells, rates.size, mean, std, mean_nz, n_nz)
 
 
-def _inject(model: ModelGraph, goldens, loc: FaultLocation) -> list[InjectionRecord]:
-    """Records of one location, one per input; `model` is only read."""
+def _inject(model: ModelGraph, goldens, loc: FaultLocation) -> tuple:
+    """One location's fault fields (bit_width, pre_bits, post_bits,
+    direction, field, post_kind) and its error rate per input, as plain
+    values: a worker sends them back small, and `_as_records` builds the
+    records in the caller.  `model` is only read."""
     fault = channel_fault(model, loc)
     cls = fault.classification
-    return [
-        InjectionRecord(
-            location=loc,
-            bit_width=fault.param.bit_width,
-            pre_bits=fault.pre_bits,
-            post_bits=fault.post_bits,
-            direction=cls.direction,
-            field=cls.field,
-            post_kind=cls.post_kind,
-            input_id=input_id,
-            error_rate=float(faulted_changed_pixels(model, golden, fault) / golden.classes.size),
-        )
-        for input_id, golden in enumerate(goldens)
-    ]
+    rates = [float(faulted_changed_pixels(model, golden, fault) / golden.classes.size) for golden in goldens]
+    return (fault.param.bit_width, fault.pre_bits, fault.post_bits, cls.direction, cls.field, cls.post_kind), rates
+
+
+def _as_records(loc: FaultLocation, result: tuple) -> list[InjectionRecord]:
+    """The records of `_inject`'s result at `loc`, one per input.  They hold
+    the plan's `loc` and one copy of each string, whichever process ran the
+    injection, so a worker's records take no more memory than the caller's."""
+    (bit_width, pre_bits, post_bits, direction, field, post_kind), rates = result
+    direction, field, post_kind = sys.intern(direction), sys.intern(field), sys.intern(post_kind)
+    return [InjectionRecord(loc, bit_width, pre_bits, post_bits, direction, field, post_kind, input_id, rate)
+            for input_id, rate in enumerate(rates)]
 
 
 def injections(model: ModelGraph, config: CampaignConfig, jobs: int = 1) -> Iterator[InjectionRecord]:
@@ -337,10 +358,153 @@ def injections(model: ModelGraph, config: CampaignConfig, jobs: int = 1) -> Iter
     return _records(partial(_inject, model, goldens), locations, min(jobs, len(locations)))
 
 
+# how far past the record it yields next the stream may start injections,
+# per job: enough for the other workers to stay busy through an injection
+# several times longer than theirs, few enough that a stopped stream has
+# started little past its last record
+_AHEAD_PER_JOB = 8
+
+
+class _Deal:
+    """Plan indices 0..n-1, each taken once and in order by whichever of the
+    caller and its forked workers reads it first.  The caller feeds them as
+    4-byte integers into a pipe, only up to a limit that it moves as the
+    stream yields records, and never more than PIPE_BUF bytes at a time, so
+    each write is whole.  A read of 4 bytes then takes one whole index, so
+    the kernel hands each index to one reader and there is no lock for a
+    dying worker to leave held.  Only the caller holds the write end: a
+    worker that waits for an index finds the pipe's end once the caller
+    closes it or dies."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._fed = 0
+        self._indices = memoryview(np.arange(n, dtype="<i4").tobytes())
+        self._r, self._w = os.pipe()
+        os.set_blocking(self._r, False)  # the caller must not wait on it
+        self._ready = select.poll()  # a worker waits on this instead
+        self._ready.register(self._r, select.POLLIN)
+
+    def feed(self, limit: int) -> None:
+        """Put every index below `limit` in the pipe."""
+        limit = min(limit, self.n)
+        if self._fed < limit:
+            os.write(self._w, self._indices[4 * self._fed:4 * limit])
+            self._fed = limit
+
+    def take(self, wait: bool = False) -> int | None:
+        """The next index; None at the pipe's end, or while the pipe is
+        empty unless `wait`."""
+        while True:
+            try:
+                data = os.read(self._r, 4)
+            except BlockingIOError:
+                if not wait:
+                    return None
+                self._ready.poll()
+            else:
+                return int.from_bytes(data, "little") if data else None
+
+    def stop(self) -> None:
+        """Feed nothing more, and take out what the pipe holds."""
+        self._fed = self.n
+        while self.take() is not None:
+            pass
+
+    def leave(self) -> None:
+        """Close the write end in a worker, so that the caller's is the last."""
+        os.close(self._w)
+
+    def close(self) -> None:
+        os.close(self._r)
+        os.close(self._w)
+
+
+def _serve(inject, locations: list[FaultLocation], deal: _Deal, out) -> None:
+    """A forked worker: until the deal ends, take an index and send
+    (index, result, None), or (index, None, exception) and stop the deal."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # a Ctrl-C is the caller's
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # and `terminate` always ends the worker
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    deal.leave()
+    while (i := deal.take(wait=True)) is not None:
+        try:
+            result = i, inject(locations[i]), None
+        except BaseException as e:  # the caller raises it at its turn
+            deal.stop()
+            result = i, None, e
+        out.send(result)
+
+
+def _collect(workers: selectors.BaseSelector, done: dict, deal: _Deal, timeout: float | None) -> None:
+    """Store in `done` what the workers have sent, waiting up to `timeout`
+    (None: until a worker sends or ends), and stop the deal at an
+    exception.  A worker ends only at the deal's end, which the caller
+    makes once the stream is over, so a worker that ends is a RuntimeError,
+    whatever its exit code."""
+    for key, _ in workers.select(timeout):
+        try:
+            i, result, error = key.fileobj.recv()
+        except EOFError:
+            worker = key.data
+            worker.join()
+            raise RuntimeError(
+                f"campaign worker {worker.pid} ended mid-campaign (exit code {worker.exitcode})") from None
+        done[i] = result, error
+        if error is not None:
+            deal.stop()
+
+
 def _records(inject, locations: list[FaultLocation], jobs: int) -> Iterator[InjectionRecord]:
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for recs in (pool.map if pool else map)(inject, locations):
-            yield from recs
+    """The records of `inject` at each location, in order, run by the caller
+    and jobs - 1 forked workers (see the module docstring)."""
+    import multiprocessing  # here, so that what runs no campaign never loads it
+
+    fork = multiprocessing.get_context("fork")
+    ahead = min(_AHEAD_PER_JOB * jobs, select.PIPE_BUF // 4)  # the most the pipe ever holds
+    done = {}  # plan index -> (result, exception)
+    forked = []  # (worker, its pipe), each listed before it starts
+    # each worker's pipe is also registered with the worker as its data
+    with closing(_Deal(len(locations))) as deal, selectors.DefaultSelector() as workers:
+        try:
+            blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:  # a Ctrl-C waits until every worker ignores it
+                for _ in range(jobs - 1):
+                    conn, out = fork.Pipe(duplex=False)
+                    worker = fork.Process(target=_serve, args=(inject, locations, deal, out), daemon=True)
+                    forked.append((worker, conn))
+                    worker.start()
+                    out.close()
+                    workers.register(conn, selectors.EVENT_READ, worker)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+            for turn in range(len(locations)):
+                deal.feed(turn + ahead)  # nothing more once the deal is stopped
+                while turn not in done:
+                    i = deal.take()
+                    if i is None:  # the workers hold every index it may take: wait for them
+                        _collect(workers, done, deal, None)
+                        continue
+                    try:
+                        done[i] = inject(locations[i]), None
+                    except BaseException as e:  # raised below, at its turn
+                        deal.stop()
+                        done[i] = None, e
+                    if forked:
+                        _collect(workers, done, deal, 0)
+                result, error = done.pop(turn)
+                if error is not None:
+                    raise error
+                yield from _as_records(locations[turn], result)
+        finally:
+            for worker, _ in forked:
+                if worker.pid is not None:
+                    worker.terminate()
+            for worker, conn in forked:
+                if worker.pid is not None:
+                    worker.join()
+                    worker.close()
+                conn.close()
 
 
 def run_campaign(

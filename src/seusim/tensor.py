@@ -9,7 +9,7 @@ bit-for-bit reproducible regardless of thread count.
 The float conv avoids order-sensitive BLAS.  It is blocked im2col: the
 input windows of a block of output rows are unfolded into a contiguous
 [c*kh*kw, positions] matrix of at most about 2**16 elements (512 KB of
-float64 scratch per call, so per worker thread), which the two-operand
+float64 scratch per call, so per campaign worker), which the two-operand
 ``np.einsum("ok,kp->op", ...)`` reduces.  Called without ``optimize=``,
 einsum runs numpy's own C loops: no BLAS and no threads.  Every output is
 accumulated in float64 from 0 over (c, i, j) in row-major order, the bias

@@ -1,7 +1,10 @@
 """Campaign planning, execution, aggregation, and serialization."""
 
-import itertools
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -41,6 +44,41 @@ from seusim.model import (
 )
 from seusim.errormodel import bias_signs, expected_bias_msb_error
 from tests.test_model import single_conv_model
+
+
+class SharedCount:
+    """`itertools.count(start)` for a campaign's caller and its forked
+    workers: the count lives in shared memory made before they fork.  Each
+    `next` holds the count's lock with SIGTERM blocked, so a worker that
+    the stream terminates never leaves the lock held."""
+
+    def __init__(self, start: int = 0):
+        self._value = multiprocessing.get_context("fork").Value("q", start)
+
+    def __next__(self) -> int:
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            with self._value.get_lock():
+                n = self._value.value
+                self._value.value = n + 1
+                return n
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body, rather than hang, after `seconds`."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def sample_size_oracle(N, e="0.025", t="1.96", p="0.5", cap=1550):
@@ -303,7 +341,7 @@ class TestRunCampaign:
         g, cfg = tiny_campaign_config(cap=20)
         n = plan(g, cfg).total_injections()
         assert n >= 100
-        calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
+        calls = SharedCount(1)  # the forked workers number their calls in shared memory
         real = camp.faulted_changed_pixels
 
         def interrupt_third(*args):
@@ -316,6 +354,7 @@ class TestRunCampaign:
             run_campaign(g, cfg, jobs=2)
         ran = next(calls) - 1
         assert 3 <= ran < n // 2
+        assert multiprocessing.active_children() == []
 
     def test_stream_is_the_campaign_at_any_job_count(self):
         g, cfg = tiny_campaign_config(cap=5)
@@ -323,6 +362,7 @@ class TestRunCampaign:
         expected = run_campaign(g, cfg)[0]
         for jobs in (1, 2, 3, 8):
             assert list(injections(g, cfg, jobs)) == run_campaign(g, cfg, jobs)[0] == expected
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("stop", ["raise", "close"])
@@ -330,7 +370,7 @@ class TestRunCampaign:
         g, cfg = tiny_campaign_config(cap=20)
         n = plan(g, cfg).total_injections()
         assert n >= 100
-        calls = itertools.count()  # next() is atomic, so two workers number their calls apart
+        calls = SharedCount()  # the forked workers count their calls in shared memory
         real = camp.faulted_changed_pixels
 
         def counted(*args):
@@ -350,6 +390,62 @@ class TestRunCampaign:
         ran = next(calls)
         time.sleep(0.2)
         assert next(calls) == ran + 1 and ran < n // 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, dying", [(2, "every"), (3, "every"), (3, "one")])
+    @pytest.mark.parametrize("code", [1, 0])
+    def test_a_worker_that_dies_fails_the_stream(self, monkeypatch, jobs, dying, code):
+        # a worker that exits 0 is no more finished than one that crashes, even while another runs on
+        g, cfg = tiny_campaign_config(cap=20)
+        caller = os.getpid()
+        first = SharedCount()
+        real = camp.faulted_changed_pixels
+
+        def score(*args):
+            if os.getpid() != caller and (dying == "every" or next(first) == 0):
+                os._exit(code)  # a forked worker dies in its first injection
+            time.sleep(0.002)  # while the caller is busy enough to leave it one
+            return real(*args)
+
+        monkeypatch.setattr(camp, "faulted_changed_pixels", score)
+        start = time.monotonic()
+        with deadline(20), pytest.raises(RuntimeError, match=rf"ended mid-campaign \(exit code {code}\)"):
+            run_campaign(g, cfg, jobs=jobs)
+        assert time.monotonic() - start < 5
+        assert multiprocessing.active_children() == []
+
+    def test_every_injection_runs_once_at_more_jobs_than_cores(self, monkeypatch):
+        # the caller and 7 forked workers take plan indices from one deal
+        g, cfg = tiny_campaign_config(cap=40)
+        calls = SharedCount()
+        real = camp.faulted_changed_pixels
+
+        def counted(*args):
+            next(calls)
+            return real(*args)
+
+        expected = run_campaign(g, cfg)[0]
+        monkeypatch.setattr(camp, "faulted_changed_pixels", counted)
+        with deadline(60):
+            assert run_campaign(g, cfg, jobs=8)[0] == expected
+        assert next(calls) == len(expected)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_ignore_sigint(self):
+        # a Ctrl-C reaches every process of the terminal's group: only the caller acts on it
+        g, cfg = tiny_campaign_config(cap=40)
+        stream = injections(g, cfg, 3)
+        records = [next(stream)]
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGINT)
+        try:
+            records.extend(stream)
+        except KeyboardInterrupt:  # sent back by a worker: it would not end the test session
+            pytest.fail("a worker took SIGINT")
+        assert records == run_campaign(g, cfg)[0]
+        assert multiprocessing.active_children() == []
 
     def test_locations_unique_and_in_space(self):
         g, cfg = tiny_campaign_config(cap=40)

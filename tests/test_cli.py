@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import hashlib
-import itertools
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 import seusim.campaign as camp
 from seusim.cli import build_parser, cmd_run, main
 from seusim.modelio import load_model
+from tests.test_campaign import SharedCount, deadline
 from tests.test_model import UNLOADABLE_MODELS, save_unloadable_model
 
 
@@ -21,6 +26,23 @@ def sha(path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def live_processes(pgid: int) -> list[int]:
+    """The processes of group `pgid` that are not zombies, read from /proc:
+    an orphan's zombie is left to init, which may never reap it."""
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc")
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except (FileNotFoundError, ProcessLookupError):  # the process has gone
+            continue  # (not OSError: a `deadline`'s TimeoutError is one)
+        fields = stat.rpartition(")")[2].split()  # state, ppid, pgrp, ...
+        if fields and fields[0] != "Z" and int(fields[2]) == pgid:
+            pids.append(int(entry.name))
+    return pids
 
 
 @pytest.fixture
@@ -269,19 +291,22 @@ class TestPlanRun:
     def _interruptible_run(tmp_path, model_file, monkeypatch, where):
         """The argv of a 140-injection run, the records.csv it writes, and a
         counter of its injections; once this returns, a run with that argv
-        meets Ctrl-C at its 40th injection, or in the writer after 40 rows."""
+        meets Ctrl-C in the plan's 40th injection, or in the writer after 40
+        rows."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 5, "cap": 20, "inputs": [{"synthetic": {"height": 16, "width": 16}}]}))
         args = ("run", "--model", model_file, "--config", cfg, "--out-dir", tmp_path / "r", "--jobs", 2)
         assert run_cli(*args) == 0
         full = (tmp_path / "r" / "records.csv").read_bytes()
-        calls = itertools.count(1)  # next() is atomic, so two workers number their calls apart
+        fortieth = camp.read_records_csv(tmp_path / "r" / "records.csv")[39].location
+        calls = SharedCount(1)  # the forked workers count their calls in shared memory
         real_score, real_write = camp.faulted_changed_pixels, camp.write_records_csv
 
-        def score(*args):
-            if next(calls) == 40 and where == "worker":
+        def score(model, golden, fault):
+            next(calls)
+            if where == "worker" and fault.location == fortieth:  # whichever worker runs it
                 raise KeyboardInterrupt
-            return real_score(*args)
+            return real_score(model, golden, fault)
 
         def write(path, records):
             def first_40():
@@ -328,6 +353,65 @@ class TestPlanRun:
             cmd_run(build_parser().parse_args(args))
         self._check_interrupted(tmp_path / "r", full, calls, "writer")
         del interrupt
+
+    @staticmethod
+    def _run_in_its_own_session(tmp_path, model_file):
+        """`seusim run --jobs 2` on a 5201-injection campaign, started in its
+        own session and process group once the run to compare with has
+        finished, and left once both its processes are injecting: the
+        running process, and the records its uninterrupted run wrote."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 5, "cap": 1550, "inputs": [{"synthetic": {"height": 16, "width": 16}}]}))
+        argv = ("run", "--model", model_file, "--config", cfg, "--jobs", 2, "--out-dir")
+        assert run_cli(*argv, tmp_path / "full") == 0
+        full = (tmp_path / "full" / "records.csv").read_bytes()
+        assert full.count(b"\r\n") - 1 >= 100
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        run = subprocess.Popen([sys.executable, "-m", "seusim.cli", *map(str, argv), str(tmp_path / "cut")],
+                               env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            with deadline(60):
+                while len(live_processes(run.pid)) < 2 or not (tmp_path / "cut" / "records.csv").exists():
+                    time.sleep(0.01)
+            time.sleep(0.3)  # the worker is injecting
+        except BaseException:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.wait()
+            raise
+        return run, full
+
+    def test_sigint_to_the_process_group_stops_the_run_and_its_workers(self, tmp_path, model_file):
+        # a real Ctrl-C reaches the caller and its forked workers alike: the
+        # workers ignore it, and the caller stops and reaps them
+        run, full = self._run_in_its_own_session(tmp_path, model_file)
+        try:
+            os.killpg(run.pid, signal.SIGINT)
+            err = run.communicate(timeout=60)[1].decode()
+        finally:
+            if run.poll() is None:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
+        assert run.returncode == 130
+        assert err.startswith("interrupted: run stopped") and err.count("\n") == 1
+        part = (tmp_path / "cut" / "records.csv").read_bytes()
+        assert full.startswith(part) and part.endswith(b"\r\n") and len(part) < len(full)
+        with pytest.raises(ProcessLookupError):  # no process of the run's group is left
+            os.killpg(run.pid, 0)
+
+    def test_a_killed_run_leaves_no_worker_running(self, tmp_path, model_file):
+        # SIGKILL runs no cleanup in the caller: its worker must notice that it is gone
+        run, _ = self._run_in_its_own_session(tmp_path, model_file)
+        os.kill(run.pid, signal.SIGKILL)
+        run.wait()
+        run.stderr.close()  # a worker may hold its write end still
+        try:
+            with deadline(20):
+                while live_processes(run.pid):
+                    time.sleep(0.01)
+        finally:
+            if live_processes(run.pid):
+                os.killpg(run.pid, signal.SIGKILL)
 
     def test_missing_model_file_is_data_error(self, tmp_path, config_file):
         assert run_cli("run", "--model", tmp_path / "nope.bin", "--config", config_file,

@@ -106,16 +106,20 @@ CORPUS = {
 }
 
 
-def records_digest(name, path):
+def records_digest(name, path, jobs=1):
     model, config = CORPUS[name][0]()
-    records, _ = run_campaign(model, config)
+    records, _ = run_campaign(model, config, jobs)
     write_records_csv(path, records)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS))
-def test_records_digest_pinned(name, tmp_path):
-    assert records_digest(name, tmp_path / "records.csv") == CORPUS[name][1]
+# the same digests at every job count; jobs 1 keeps the bare corpus name as its id
+@pytest.mark.parametrize("name, jobs", [
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+    for name in sorted(CORPUS) for jobs in (1, 2, 3)
+])
+def test_records_digest_pinned(name, jobs, tmp_path):
+    assert records_digest(name, tmp_path / "records.csv", jobs) == CORPUS[name][1]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -126,15 +130,16 @@ def test_int8_digest_independent_of_blas_threads(threads, tmp_path):
     # It cannot see a thread-count dependence below the 2**18 multiply-add cap
     # per call: OpenBLAS 0.3.31 runs every call of that size on the calling
     # thread at either count, so both runs make the same calls.  A fresh
-    # process reads the thread count at start-up.
+    # process reads the thread count at start-up.  The run at jobs 2 forks
+    # its worker after OpenBLAS has started its threads.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
     code = ("from pathlib import Path; from tests.test_digests import records_digest; "
-            f"print(records_digest('int8', Path({str(tmp_path / 'r.csv')!r})))")
+            f"[print(records_digest('int8', Path({str(tmp_path / 'r.csv')!r}), jobs)) for jobs in (1, 2)]")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=300, check=True)
-    assert done.stdout.strip() == CORPUS["int8"][1]
+    assert done.stdout.split() == [CORPUS["int8"][1]] * 2
 
 
 def _readme_unets():
