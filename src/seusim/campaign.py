@@ -576,9 +576,9 @@ def write_records_csv(path, records: Iterable[InjectionRecord]) -> None:
 
 def read_records_csv(path) -> list[InjectionRecord]:
     """Records of a records file, checked as `read_table` checks every table.
-    A row's `post_bits` must be its `pre_bits` with bit `bit` flipped, both
-    patterns of one width; otherwise the ValueError names the line and the
-    column."""
+    A row's `error_rate` must lie in [0, 1], and its `post_bits` must be its
+    `pre_bits` with bit `bit` flipped, both patterns of one width; otherwise
+    the ValueError names the line and the column."""
     def hex_bits(text: str) -> tuple[int, int]:  # the bits, and the width the digits give
         if not re.fullmatch("[0-9a-fA-F]{2}|[0-9a-fA-F]{8}", text):
             raise ValueError
@@ -596,6 +596,8 @@ def read_records_csv(path) -> list[InjectionRecord]:
         if post != pre ^ (1 << bit):
             raise ValueError(f"{where} 'post_bits': expected pre_bits with bit {bit} flipped, "
                              f"{_hex(pre ^ (1 << bit), width)}, got {_hex(post, width)}")
+        if not 0.0 <= rate <= 1.0:  # NaN too
+            raise ValueError(f"{where} 'error_rate': {rate} outside [0, 1]")
         records.append(InjectionRecord(FaultLocation(lid, kind, index, bit), width, pre, post,
                                        direction, fld, post_kind, input_id, rate))
     return records
@@ -606,10 +608,18 @@ def write_matrix_csv(path, matrix: ErrorMatrix) -> None:
 
 
 def read_matrix_csv(path) -> dict[tuple[int, int], CellStats]:
-    """Cells of a matrix file, checked as `read_table` checks every table; a
-    second row for a cell is a ValueError naming both lines."""
+    """Cells of a matrix file, checked as `read_table` checks every table: a
+    `count` below 1, or a `mean`, `std`, `mean_nonzero` or `max` outside
+    [0, 1], is a ValueError naming the line and the column, and a second row
+    for a cell one naming both lines."""
     cells, lines = {}, {}
     for line, (lid, bit, *stats) in read_table(path, "matrix", MATRIX_COLUMNS, (int,) * 3 + (float,) * 4):
+        where = f"{path}, line {line}, column"
+        if stats[0] < 1:
+            raise ValueError(f"{where} 'count': {stats[0]} is below 1")
+        for column, rate in zip(MATRIX_COLUMNS[3:], stats[1:]):
+            if not 0.0 <= rate <= 1.0:  # NaN too
+                raise ValueError(f"{where} {column!r}: {rate} outside [0, 1]")
         if (lid, bit) in lines:
             raise ValueError(f"{path}, line {line}: cell {(lid, bit)} repeats line {lines[lid, bit]}")
         lines[lid, bit] = line

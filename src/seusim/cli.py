@@ -355,6 +355,9 @@ def cmd_quantize(args) -> dict:
         print("folded batch_norm layers into convolutions")
     if args.calib:
         calib = [_load_input_tensor(p) for p in args.calib]
+        for path, x in zip(args.calib, calib):
+            if not np.isfinite(x.data).all():
+                raise ValueError(f"calibration input {path} holds non-finite values")
     else:
         h, w = args.size
         calib = [zoo.synthetic_input(graph, h, w, seed=args.calib_seed + i)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .metrics import confusion_matrix, giou_wiou_from_confusion
 from .model import (
+    REQUANT_KINDS,
     LayerNode,
     ModelGraph,
     ParamKind,
@@ -205,10 +206,19 @@ def stopping_check(baseline: tuple[float, float], current: tuple[float, float]) 
     return "stop" if g_loss > 1.5 or w_loss > 1.5 else "continue"
 
 
+def _require_finite_params(model: ModelGraph) -> None:
+    for n in model.nodes:
+        for k, t in n.params.items():
+            if not np.isfinite(t.data).all():
+                raise ValueError(f"{n.kind} {n.id} {k.value} holds non-finite values")
+
+
 def fold_batch_norm(model: ModelGraph) -> ModelGraph:
-    """Absorb conv -> BN pairs into the conv weights and biases."""
+    """Absorb conv -> BN pairs into the conv weights and biases.  A
+    parameter that is not finite is a ValueError naming its node."""
     if model.dtype_mode != "float32":
         raise ValueError("fold_batch_norm requires an f32 model")
+    _require_finite_params(model)
     consumers: dict[int, list[int]] = {n.id: [] for n in model.nodes}
     for n in model.nodes:
         for src in n.inputs:
@@ -255,23 +265,15 @@ def _folded_conv_params(conv: LayerNode, bn: LayerNode) -> dict[ParamKind, Tenso
     }
 
 
-def _resolve_quant(graph: ModelGraph, node_id: int | None) -> QuantParams:
-    """QuantParams carried by a producer's output at execution time."""
-    if node_id is None:
-        return graph.input_quant
-    n = graph.node(node_id)
-    if n.out_quant is not None:
-        return n.out_quant
-    return _resolve_quant(graph, n.inputs[0] if n.inputs else None)
-
-
 def quantize_model(model: ModelGraph, calibration_inputs) -> ModelGraph:
     """Post-training per-tensor affine quantization of a folded f32 model.
 
     Weights go to symmetric int8 (zero_point 0), activations to int8 with
     min/max calibration, biases to int32 with scale = weight_scale *
     input_scale.  Pooling and upsampling reuse their producer's
-    QuantParams; conv, activation, and concat outputs get their own.
+    QuantParams; conv, activation, and concat outputs get their own.  A
+    calibration input, parameter or calibrated output range that is not
+    finite is a ValueError naming it.
     """
     if model.dtype_mode != "float32":
         raise ValueError("model is already quantized")
@@ -280,33 +282,42 @@ def quantize_model(model: ModelGraph, calibration_inputs) -> ModelGraph:
     calibration_inputs = list(calibration_inputs)
     if not calibration_inputs:
         raise ValueError("empty calibration set")
+    for i, x in enumerate(calibration_inputs):
+        if not np.isfinite(x.data).all():
+            raise ValueError(f"calibration input {i} holds non-finite values")
+    _require_finite_params(model)
 
     in_lo = min(float(x.data.min()) for x in calibration_inputs)
     in_hi = max(float(x.data.max()) for x in calibration_inputs)
     ranges: dict[int, tuple[float, float]] = {}
-    for x in calibration_inputs:
+    for i, x in enumerate(calibration_inputs):
         for nid, out in run_model_trace(model, x).items():
             lo, hi = float(out.data.min()), float(out.data.max())
+            if not np.isfinite([lo, hi]).all():  # checked per input: min and max drop a NaN operand
+                raise ValueError(f"{model.node(nid).kind} {nid} output on calibration input {i} "
+                                 f"spans [{lo}, {hi}], not a finite range")
             if nid in ranges:
                 ranges[nid] = (min(ranges[nid][0], lo), max(ranges[nid][1], hi))
             else:
                 ranges[nid] = (lo, hi)
 
     quantized = replace(model, nodes=[], dtype_mode="int8", input_quant=choose_affine_params(in_lo, in_hi))
+    quant: dict[int, QuantParams] = {}  # node id -> the QuantParams its output carries
     for n in model.nodes:
+        src_quant = quant[n.inputs[0]] if n.inputs else quantized.input_quant
         changes = {}
         if n.kind == "conv":
-            in_quant = _resolve_quant(quantized, n.inputs[0] if n.inputs else None)
             w = n.params[ParamKind.ConvWeight]
             b = n.params[ParamKind.ConvBias]
             w_qp = choose_symmetric_scale(w.data)
-            b_qp = QuantParams(w_qp.scale * in_quant.scale, 0)
+            b_qp = QuantParams(w_qp.scale * src_quant.scale, 0)
             changes["params"] = {
                 ParamKind.ConvWeight: Tensor(quantize_symmetric(w.data, w_qp), "i8", w_qp),
                 ParamKind.ConvBias: Tensor(quantize_bias(b.data, b_qp), "i32", b_qp),
             }
-        if n.kind in ("conv", "activation", "concat"):
+        if n.kind in REQUANT_KINDS:
             changes["out_quant"] = choose_affine_params(*ranges[n.id])
+        quant[n.id] = changes.get("out_quant", src_quant)
         quantized.nodes.append(replace(n, **changes))
     validate_model(quantized)
     return quantized

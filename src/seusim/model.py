@@ -28,7 +28,6 @@ from .tensor import (
     conv2d_finish,
     conv2d_operand,
     conv2d_sums,
-    default_activation_quant,
     max_pool2,
     quantize_affine,
     requantize_lut,
@@ -39,6 +38,9 @@ if TYPE_CHECKING:
     from .inject import ChannelFault
 
 LAYER_KINDS = ("conv", "batch_norm", "max_pool2", "upsample2", "activation", "concat")
+# in an int8 graph, the kinds whose output carries the node's own out_quant;
+# the others carry their input's
+REQUANT_KINDS = ("conv", "activation", "concat")
 
 
 class ParamKind(enum.Enum):
@@ -176,7 +178,7 @@ def validate_model(graph: ModelGraph) -> None:
         for n in graph.nodes:
             if n.kind == "batch_norm":
                 raise ValueError("int8 graph must not contain standalone batch_norm nodes")
-            if n.kind in ("conv", "activation", "concat") and n.out_quant is None:
+            if n.kind in REQUANT_KINDS and n.out_quant is None:
                 raise ValueError(f"int8 node {n.id} missing output QuantParams")
             for k, t in n.params.items():  # conv weights and biases: the int8 kernel assumes 0
                 if t.quant is not None and t.quant.zero_point != 0:
@@ -216,16 +218,13 @@ def _int8_tables(graph: ModelGraph, in_quant: QuantParams | None) -> dict:
     quant, tables = {}, {}
     for n in graph.nodes:
         src = [quant[i] for i in n.inputs] if n.inputs else [in_quant]
-        out = n.out_quant
+        out = quant[n.id] = n.out_quant if n.kind in REQUANT_KINDS else src[0]
+        if out is None:
+            break  # this node's kernel refuses to run, so no later node runs
         if n.kind == "activation":
-            out = out or default_activation_quant(n.act, src[0])
             tables[n.id] = activation_lut(n.act, src[0], out)
         elif n.kind == "concat":
-            out = out or src[0]
             tables[n.id] = tuple(None if q == out else requantize_lut(q, out) for q in src)
-        elif n.kind != "conv":
-            out = src[0]
-        quant[n.id] = out
     return tables
 
 
@@ -248,15 +247,6 @@ def _batch_norm(n: LayerNode, srcs: list[Tensor], _) -> Tensor:
     )
 
 
-def _concat(n: LayerNode, srcs: list[Tensor], luts) -> Tensor:
-    luts = luts or (None,) * len(srcs)
-    out, first = srcs[0], luts[0]
-    for extra, lut in zip(srcs[1:], luts[1:]):
-        out = concat_channels(out, extra, out_quant=n.out_quant, luts=(first, lut))
-        first = None  # `out` carries the target QuantParams now
-    return out
-
-
 # one entry per layer kind, called with the node, its inputs and its entry
 # of `_int8_tables`; the kernels are looked up in this module's globals at
 # call time, so a caller may rebind them (for tracing, say)
@@ -266,7 +256,7 @@ _KERNELS = {
     "activation": lambda n, srcs, lut: activation(srcs[0], n.act, out_quant=n.out_quant, lut=lut),
     "max_pool2": lambda n, srcs, _: max_pool2(srcs[0]),
     "upsample2": lambda n, srcs, _: upsample2(srcs[0]),
-    "concat": _concat,
+    "concat": lambda n, srcs, luts: concat_channels(srcs, out_quant=n.out_quant, luts=luts),
 }
 
 

@@ -36,7 +36,8 @@ The int32 bias is added in int32, wrapping as an int32 accumulator does,
 then the sums are requantized in one float64 buffer: scaled, rounded half
 to even, shifted by the zero point and clipped in place, then cast to int8
 once.  Requantizing int8 codes, in a concat or an activation, is a gather
-through a 256-entry table.  Both kernels take the table from their caller
+through a 256-entry table into the output QuantParams the caller gives;
+neither kernel chooses them.  Both kernels take the table from their caller
 if it built one; `seusim.model` builds a forward's tables up front, and a
 campaign builds them once with its golden run, so no injection builds
 one.  Likewise a caller may keep an int8 conv's padded operand
@@ -464,24 +465,16 @@ def activation_lut(kind: str, in_quant: QuantParams, out_quant: QuantParams) -> 
     return quantize_affine(_F32_ACTIVATIONS[kind](real), out_quant)
 
 
-def default_activation_quant(kind: str, in_quant: QuantParams) -> QuantParams:
-    """The output QuantParams of an int8 activation given none: relu keeps
-    its input's, the bounded kinds map [0, 1] onto the code range."""
-    if kind == "relu":
-        return in_quant
-    # bounded activations land in [0, 1]
-    return QuantParams(1.0 / 255.0, QMIN)
-
-
 def activation(
     x: Tensor, kind: str, out_quant: QuantParams | None = None, lut: np.ndarray | None = None
 ) -> Tensor:
     """Apply an activation function.
 
     The f32 path propagates NaN for every kind (corruption is the
-    phenomenon under study, never masked).  The int8 path goes through a
-    256-entry lookup keyed by the input's QuantParams: `lut`, the caller's
-    `activation_lut(kind, x.quant, out_quant)`, or one built here.
+    phenomenon under study, never masked).  The int8 path maps each input
+    code to one of `out_quant`, which it requires, through a 256-entry
+    lookup: `lut`, the caller's `activation_lut(kind, x.quant, out_quant)`,
+    or one built here.
     """
     if kind not in ACTIVATION_KINDS:
         raise ValueError(f"unknown activation {kind!r}")
@@ -490,7 +483,7 @@ def activation(
             return Tensor(_F32_ACTIVATIONS[kind](x.data), "f32")
     if x.dtype == "i8":
         if out_quant is None:
-            out_quant = default_activation_quant(kind, x.quant)
+            raise ValueError("int8 activation requires out_quant")
         if lut is None:
             lut = activation_lut(kind, x.quant, out_quant)
         return Tensor(lookup_codes(lut, x.data), "i8", out_quant)
@@ -532,27 +525,34 @@ def upsample2(x: Tensor) -> Tensor:
     return Tensor(out.reshape(n, c, 2 * h, 2 * w), x.dtype, x.quant)
 
 
-def concat_channels(a: Tensor, b: Tensor, out_quant: QuantParams | None = None, luts=(None, None)) -> Tensor:
-    """Channel-axis concatenation, a's channels first.
+def concat_channels(parts, out_quant: QuantParams | None = None, luts=None) -> Tensor:
+    """Channel-axis concatenation of one or more tensors, in the order given.
 
-    int8 inputs are requantized to `out_quant` (a's QuantParams if None)
-    through a 256-entry table each: its entry in `luts`, the caller's
-    `requantize_lut(quant, out_quant)`, or one built here where the input's
-    QuantParams differ from `out_quant`.
+    int8 parts are requantized to `out_quant`, which the int8 path requires,
+    through a 256-entry table each: its entry in `luts` (one per part), the
+    caller's `requantize_lut(part.quant, out_quant)`, or one built here where
+    the part's QuantParams differ from `out_quant`.
     """
-    if a.dtype != b.dtype:
-        raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ValueError(f"spatial shape mismatch: {a.shape} vs {b.shape}")
-    if a.dtype == "i8":
-        target = out_quant if out_quant is not None else a.quant
-        parts = []
-        for t, lut in zip((a, b), luts):
-            if lut is None and t.quant != target:
-                lut = requantize_lut(t.quant, target)
-            parts.append(t.data if lut is None else lookup_codes(lut, t.data))
-        return Tensor(np.concatenate(parts, axis=1), "i8", target)
-    return Tensor(np.concatenate([a.data, b.data], axis=1), a.dtype, a.quant)
+    if not parts:
+        raise ValueError("concat needs at least one input")
+    if luts is not None and len(luts) != len(parts):
+        raise ValueError(f"{len(luts)} lookup tables for {len(parts)} concat inputs")
+    first = parts[0]
+    for t in parts[1:]:
+        if t.dtype != first.dtype:
+            raise ValueError(f"dtype mismatch: {first.dtype} vs {t.dtype}")
+        if t.shape[0] != first.shape[0] or t.shape[2:] != first.shape[2:]:
+            raise ValueError(f"spatial shape mismatch: {first.shape} vs {t.shape}")
+    if first.dtype != "i8":
+        return Tensor(np.concatenate([t.data for t in parts], axis=1), first.dtype, first.quant)
+    if out_quant is None:
+        raise ValueError("int8 concat requires out_quant")
+    data = []
+    for t, lut in zip(parts, luts or (None,) * len(parts)):
+        if lut is None and t.quant != out_quant:
+            lut = requantize_lut(t.quant, out_quant)
+        data.append(t.data if lut is None else lookup_codes(lut, t.data))
+    return Tensor(np.concatenate(data, axis=1), "i8", out_quant)
 
 
 def argmax_classes(logits: Tensor) -> np.ndarray:

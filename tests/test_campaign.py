@@ -584,6 +584,10 @@ class TestSerialization:
         ([VALID_RECORD.replace(",30,", ",-1,")], ", line 2, column 'bit': -1 outside the 32-bit pattern"),
         ([VALID_RECORD, VALID_RECORD.replace("7e800000", "3e800001")],
          ", line 3, column 'post_bits': expected pre_bits with bit 30 flipped, 7e800000, got 3e800001"),
+        ([VALID_RECORD.replace(",0.25", ",nan")], ", line 2, column 'error_rate': nan outside [0, 1]"),
+        ([VALID_RECORD, VALID_RECORD.replace(",0.25", ",-0.25")],
+         ", line 3, column 'error_rate': -0.25 outside [0, 1]"),
+        ([VALID_RECORD.replace(",0.25", ",1.25")], ", line 2, column 'error_rate': 1.25 outside [0, 1]"),
     ])
     def test_malformed_records_name_file_line_and_column(self, tmp_path, rows, named):
         path = tmp_path / "records.csv"
@@ -592,6 +596,24 @@ class TestSerialization:
         path.write_text("" if rows is None else "\n".join([",".join(camp.RECORD_COLUMNS), *rows]))
         with pytest.raises(ValueError) as err:
             read_records_csv(path)
+        assert str(err.value) == f"{path}{named}"
+
+    VALID_CELL = "2,30,6,0.34,0.3,0.4,0.83"
+
+    @pytest.mark.parametrize("rows, named", [
+        ([VALID_CELL.replace(",6,", ",0,")], ", line 2, column 'count': 0 is below 1"),
+        ([VALID_CELL.replace(",0.34,", ",nan,")], ", line 2, column 'mean': nan outside [0, 1]"),
+        (["2,29,6,0,0,0,0", VALID_CELL.replace(",0.3,", ",1.5,")], ", line 3, column 'std': 1.5 outside [0, 1]"),
+        ([VALID_CELL.replace(",0.4,", ",-0.4,")], ", line 2, column 'mean_nonzero': -0.4 outside [0, 1]"),
+        ([VALID_CELL.replace(",0.83", ",inf")], ", line 2, column 'max': inf outside [0, 1]"),
+    ])
+    def test_malformed_matrix_names_file_line_and_column(self, tmp_path, rows, named):
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join([",".join(camp.MATRIX_COLUMNS), self.VALID_CELL]))
+        assert read_matrix_csv(path)[2, 30].count == 6
+        path.write_text("\n".join([",".join(camp.MATRIX_COLUMNS), *rows]))
+        with pytest.raises(ValueError) as err:
+            read_matrix_csv(path)
         assert str(err.value) == f"{path}{named}"
 
     def test_matrix_roundtrip(self, tmp_path):

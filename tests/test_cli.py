@@ -15,7 +15,8 @@ import pytest
 
 import seusim.campaign as camp
 from seusim.cli import build_parser, cmd_run, main
-from seusim.modelio import load_model
+from seusim.model import ParamKind
+from seusim.modelio import load_model, save_model
 from tests.test_campaign import SharedCount, deadline
 from tests.test_model import UNLOADABLE_MODELS, save_unloadable_model
 
@@ -594,6 +595,7 @@ class TestPredictCompare:
         (["2,30,6,0.34,0.3,0.4,0.83,9"], ", line 2, column 8: unexpected value '9'"),
         (None, ": unexpected matrix header: None"),  # an empty file
         (["2,30,6,0.9,0,0.9,0.9", "2,30,6,0.3721,0.3,0.4,0.83"], ", line 3: cell (2, 30) repeats line 2"),
+        (["2,30,6,nan,0.3,0.4,0.83"], ", line 2, column 'mean': nan outside [0, 1]"),
     ])
     def test_malformed_matrix_cell_is_data_error(self, tmp_path, capsys, rows, named):
         pred = tmp_path / "p.json"
@@ -684,6 +686,28 @@ class TestPruneQuantize:
         np.save(img, np.random.default_rng(0).normal(size=(3, 16, 16)).astype(np.float32))
         out = tmp_path / "q.bin"
         assert run_cli("quantize", "--model", model_file, "--out", out, "--calib", img) == 0
+
+    def test_non_finite_calibration_image_is_data_error(self, tmp_path, model_file, capsys):
+        good, bad = tmp_path / "good.npy", tmp_path / "bad.npy"
+        image = np.random.default_rng(0).normal(size=(3, 16, 16)).astype(np.float32)
+        np.save(good, image)
+        image[1, 2, 3] = np.nan
+        np.save(bad, image)
+        out = tmp_path / "q.bin"
+        assert run_cli("quantize", "--model", model_file, "--out", out, "--calib", good, bad) == 2
+        assert capsys.readouterr().err == f"error: calibration input {bad} holds non-finite values\n"
+        assert not out.exists()
+
+    def test_non_finite_weight_is_data_error(self, tmp_path, model_file, capsys):
+        g = load_model(model_file)
+        g.nodes[4].params[ParamKind.ConvWeight].data[0, 0, 0, 0] = np.inf
+        save_model(g, model_file)
+        out = tmp_path / "q.bin"
+        assert run_cli("quantize", "--model", model_file, "--out", out, "--calib-synthetic", 1,
+                       "--size", 16, 16) == 2
+        # named as the file numbers it, not as the folded model does
+        assert capsys.readouterr().err == "error: conv 4 ConvWeight holds non-finite values\n"
+        assert not out.exists()
 
 
 class TestCensus:

@@ -287,6 +287,13 @@ class TestFoldBatchNorm:
         y1 = run_model(folded, x).data.astype(np.float64)
         assert np.max(np.abs(y0 - y1) / (np.abs(y0) + 1e-3)) < 1e-4
 
+    @pytest.mark.parametrize("node, kind", [(0, ParamKind.ConvBias), (1, ParamKind.BNVar)])
+    def test_non_finite_parameter_rejected(self, node, kind):
+        g = self.identity_bn_graph()
+        g.nodes[node].params[kind].data[1] = np.nan
+        with pytest.raises(ValueError, match=f"^{g.nodes[node].kind} {node} {kind.value} holds non-finite values$"):
+            fold_batch_norm(g)
+
     def test_bn_without_conv_rejected(self):
         g = self.identity_bn_graph()
         g.nodes[1].inputs = []  # now fed by the model input
@@ -375,6 +382,44 @@ class TestQuantizeModel:
         g = self.folded_unet()
         with pytest.raises(ValueError, match="calibration"):
             quantize_model(g, [])
+
+    def test_bias_scale_reads_through_upsample(self):
+        # conv 3 reads an upsample2 output directly: its input carries
+        # activation 1's QuantParams, which the upsample passes on
+        rng = np.random.default_rng(5)
+        g = ModelGraph([
+            conv_node(0, rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), [], padding=1),
+            LayerNode(id=1, kind="activation", act="relu", inputs=[0]),
+            LayerNode(id=2, kind="upsample2", inputs=[1]),
+            conv_node(3, rng.normal(size=(2, 4, 1, 1)), rng.normal(size=2), [2]),
+        ], n_classes=2, n_input_channels=3)
+        x = synthetic_input(g, 8, 8, seed=1)
+        q = quantize_model(g, [x])
+        bias = q.nodes[3].params[ParamKind.ConvBias].quant
+        assert bias.scale == q.nodes[3].params[ParamKind.ConvWeight].quant.scale * q.nodes[1].out_quant.scale
+        assert q.nodes[1].out_quant != q.nodes[0].out_quant
+        assert np.mean(predict_classes(q, x) != predict_classes(g, x)) <= 0.05
+
+    def test_non_finite_calibration_input_rejected(self):
+        g = self.folded_unet()
+        calib = [synthetic_input(g, 16, 16, seed=i) for i in range(2)]
+        calib[1].data[0, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="^calibration input 1 holds non-finite values$"):
+            quantize_model(g, calib)
+
+    def test_non_finite_weight_rejected(self):
+        g = self.folded_unet()
+        g.nodes[3].params[ParamKind.ConvWeight].data[1, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="^conv 3 ConvWeight holds non-finite values$"):
+            quantize_model(g, [synthetic_input(g, 16, 16, seed=0)])
+
+    def test_non_finite_calibrated_range_rejected(self):
+        # finite weights whose products overflow float32: the conv's output is Inf
+        g = ModelGraph([conv_node(0, np.full((2, 3, 1, 1), 3e38), np.zeros(2), [])],
+                       n_classes=2, n_input_channels=3)
+        x = t32(np.ones((3, 4, 4)))
+        with pytest.raises(ValueError, match=r"^conv 0 output on calibration input 0 spans \[inf, inf\]"):
+            quantize_model(g, [x])
 
     def test_double_quantization_rejected(self):
         g = self.folded_unet()

@@ -17,6 +17,7 @@ from seusim.model import (
     enumerate_fault_space,
     predict_classes,
     run_model,
+    run_model_trace,
     synthetic_input,
     validate_model,
 )
@@ -29,7 +30,7 @@ from seusim.modelio import (
     save_model,
     serialize_model,
 )
-from seusim.tensor import QuantParams, Tensor
+from seusim.tensor import QuantParams, Tensor, quantize_affine
 
 REF_FREQS = [0.0, 0.4491, 0.0441, 0.2695, 0.0747, 0.1627]
 REF_BIASES = [-0.85, 0.32, -0.03, 0.04, -0.17, 0.11]
@@ -383,3 +384,47 @@ class TestValidation:
         g = build_unet(depth=2, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         with pytest.raises(ValueError, match="multiples"):
             synthetic_input(g, 10, 16)
+
+
+def int8_three_way_concat_model():
+    """An int8 graph whose concat 3 joins two convs of the input and an
+    activation of the first, each output under its own QuantParams."""
+    rng = np.random.default_rng(2)
+
+    def conv(nid, inputs, oc, ic, out_quant):
+        return LayerNode(id=nid, kind="conv", inputs=inputs, out_quant=out_quant, params={
+            ParamKind.ConvWeight: Tensor(rng.integers(-127, 128, (oc, ic, 1, 1)), "i8", QuantParams(0.01)),
+            ParamKind.ConvBias: Tensor(rng.integers(-500, 500, oc), "i32", QuantParams(2e-4)),
+        })
+
+    nodes = [
+        conv(0, [], 2, 3, QuantParams(0.05, -10)),
+        conv(1, [], 3, 3, QuantParams(0.08, 7)),
+        LayerNode(id=2, kind="activation", act="hard_sigmoid", inputs=[0], out_quant=QuantParams(1 / 255, -128)),
+        LayerNode(id=3, kind="concat", inputs=[0, 1, 2], out_quant=QuantParams(0.06, 2)),
+        conv(4, [3], 2, 7, QuantParams(0.1, 0)),
+    ]
+    g = ModelGraph(nodes, n_classes=2, n_input_channels=3, dtype_mode="int8", input_quant=QuantParams(0.02, 0))
+    validate_model(g)
+    return g
+
+
+class TestInt8Forward:
+    def test_three_way_concat_requantizes_each_input_like_the_formula(self):
+        g = int8_three_way_concat_model()
+        produced = run_model_trace(g, synthetic_input(g, 4, 4, seed=0))
+        out = produced[3]
+        assert out.quant == g.nodes[3].out_quant and out.shape == (1, 7, 4, 4)
+        expect = np.concatenate([
+            quantize_affine((produced[i].data.astype(np.float64) - produced[i].quant.zero_point)
+                            * produced[i].quant.scale, out.quant)
+            for i in (0, 1, 2)
+        ], axis=1)
+        np.testing.assert_array_equal(out.data, expect)
+
+    @pytest.mark.parametrize("node", [2, 3])
+    def test_missing_out_quant_is_refused_by_the_kernel(self, node):
+        g = int8_three_way_concat_model()
+        g.nodes[node].out_quant = None  # what validate_model refuses
+        with pytest.raises(ValueError, match="requires out_quant"):
+            run_model_trace(g, synthetic_input(g, 4, 4, seed=0))

@@ -28,7 +28,6 @@ from seusim.tensor import (
     conv2d_finish,
     conv2d_operand,
     conv2d_sums,
-    default_activation_quant,
     dequantize,
     max_pool2,
     quantize_affine,
@@ -504,29 +503,38 @@ class TestActivation:
     def test_int8_lookup_path(self):
         qp = QuantParams(0.05, 0)
         codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 1, 16, 16)
-        out = activation(Tensor(codes, "i8", qp), "hard_sigmoid")
+        out = activation(Tensor(codes, "i8", qp), "hard_sigmoid", QuantParams(1 / 255, -128))
         real_in = (codes.astype(np.float64)) * qp.scale
         expect = np.clip(real_in / 6 + 0.5, 0, 1)
         got = (out.data.astype(np.float64) - out.quant.zero_point) * out.quant.scale
         np.testing.assert_allclose(got, expect, atol=out.quant.scale / 2 + 1e-12)
 
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-    @pytest.mark.parametrize("out_quant", [None, QuantParams(0.02, -100)])
+    @pytest.mark.parametrize("out_quant", [QuantParams(0.05, -3), QuantParams(0.02, -100)])  # the input's, another
     def test_int8_prebuilt_table_is_the_built_one(self, kind, out_quant):
         x = Tensor(np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8), "i8", QuantParams(0.05, -3))
         built = activation(x, kind, out_quant)
-        lut = activation_lut(kind, x.quant, out_quant or default_activation_quant(kind, x.quant))
+        lut = activation_lut(kind, x.quant, out_quant)
         given = activation(x, kind, out_quant, lut=lut)
         assert given.quant == built.quant and given.raw_bits().tobytes() == built.raw_bits().tobytes()
         # the table given is the one read
         np.testing.assert_array_equal(activation(x, kind, out_quant, lut=lut[::-1]).data, lut[::-1][x.data.astype(np.int64) + 128])
 
     def test_int8_relu_keeps_scale(self):
+        # at its input's QuantParams, relu raises codes below the zero point to it
         qp = QuantParams(0.1, -4)
         x = Tensor(np.array([-100, -4, 50], dtype=np.int8).reshape(1, 1, 1, 3), "i8", qp)
-        out = activation(x, "relu")
+        out = activation(x, "relu", qp)
         assert out.quant == qp
         np.testing.assert_array_equal(out.data.reshape(-1), [-4, -4, 50])
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_int8_requires_out_quant(self, kind):
+        x = Tensor(np.zeros((1, 1, 2, 2), np.int8), "i8", QuantParams(0.1, 0))
+        lut = activation_lut(kind, x.quant, x.quant)
+        for given in (None, lut):  # a table does not stand in for the output's QuantParams
+            with pytest.raises(ValueError, match="out_quant"):
+                activation(x, kind, lut=given)
 
 
 class TestSpatialOps:
@@ -627,43 +635,75 @@ class TestSpatialOps:
     def test_concat_orders_channels(self):
         a = t32(np.full((1, 2, 2, 2), 1.0))
         b = t32(np.full((1, 3, 2, 2), 2.0))
-        out = concat_channels(a, b)
-        assert out.shape == (1, 5, 2, 2)
-        assert np.all(out.data[0, :2] == 1.0) and np.all(out.data[0, 2:] == 2.0)
+        c = t32(np.full((1, 1, 2, 2), 3.0))
+        out = concat_channels([a, b, c])
+        assert out.shape == (1, 6, 2, 2)
+        np.testing.assert_array_equal(out.data[0, :, 0, 0], [1, 1, 2, 2, 2, 3])
+        assert concat_channels([a]).bit_equal(a)
 
     @given(st.floats(1e-3, 10), INT8_CODES, st.floats(1e-3, 10), INT8_CODES)
     def test_int8_concat_requantizes_like_the_formula(self, s1, z1, s2, z2):
         src, dst = QuantParams(s1, z1), QuantParams(s2, z2)
         codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
         other = Tensor(codes[:, :1], "i8", dst)
-        out = concat_channels(Tensor(codes, "i8", src), other, out_quant=dst)
+        out = concat_channels([Tensor(codes, "i8", src), other], out_quant=dst)
         assert out.quant == dst
         # the per-element formula: dequantize in float64, quantize under dst
         expect = quantize_affine((codes.astype(np.float64) - z1) * s1, dst)
         np.testing.assert_array_equal(out.data[:, :4], expect)
         np.testing.assert_array_equal(out.data[:, 4:], other.data)
 
+    @given(st.lists(st.tuples(st.floats(1e-3, 10), INT8_CODES), min_size=3, max_size=3),
+           st.floats(1e-3, 10), INT8_CODES)
+    def test_int8_concat_of_three_requantizes_each_like_the_formula(self, srcs, s, z):
+        dst = QuantParams(s, z)
+        codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
+        parts = [Tensor(np.roll(codes, 37 * i), "i8", QuantParams(*q)) for i, q in enumerate(srcs)]
+        out = concat_channels(parts, out_quant=dst)
+        assert out.quant == dst and out.shape == (1, 12, 8, 8)
+        for i, t in enumerate(parts):
+            expect = quantize_affine((t.data.astype(np.float64) - t.quant.zero_point) * t.quant.scale, dst)
+            np.testing.assert_array_equal(out.data[:, 4 * i : 4 * i + 4], expect)
+
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
     def test_int8_concat_prebuilt_tables_are_the_built_ones(self, kind):
         # inputs as an activation of each kind leaves them, in a quant that
         # differs from the target or equals it
         codes = np.arange(-128, 128, dtype=np.int8).reshape(1, 4, 8, 8)
-        a = activation(Tensor(codes, "i8", QuantParams(0.05, -3)), kind)
-        for b_quant, dst in ((QuantParams(0.2, 9), QuantParams(0.1, 4)), (a.quant, a.quant), (a.quant, None)):
+        act_quant = QuantParams(0.05, -3) if kind == "relu" else QuantParams(1 / 255, -128)
+        a = activation(Tensor(codes, "i8", QuantParams(0.05, -3)), kind, act_quant)
+        for b_quant, dst in ((QuantParams(0.2, 9), QuantParams(0.1, 4)), (a.quant, a.quant)):
             b = Tensor(codes[:, :2], "i8", b_quant)
-            built = concat_channels(a, b, out_quant=dst)
-            target = dst or a.quant
-            luts = tuple(None if t.quant == target else requantize_lut(t.quant, target) for t in (a, b))
-            given = concat_channels(a, b, out_quant=dst, luts=luts)
-            assert given.quant == built.quant == target
+            built = concat_channels([a, b], out_quant=dst)
+            luts = tuple(None if t.quant == dst else requantize_lut(t.quant, dst) for t in (a, b))
+            given = concat_channels([a, b], out_quant=dst, luts=luts)
+            assert given.quant == built.quant == dst
             np.testing.assert_array_equal(given.data, built.data)
         flip = np.arange(127, -129, -1, dtype=np.int8)  # the tables given are the ones read
-        out = concat_channels(a, b, luts=(flip, None))
+        out = concat_channels([a, b], out_quant=a.quant, luts=(flip, None))
         np.testing.assert_array_equal(out.data[:, :4], flip[a.data.astype(np.int64) + 128])
+
+    def test_int8_concat_requires_out_quant(self):
+        a = Tensor(np.zeros((1, 2, 2, 2), np.int8), "i8", QuantParams(0.1, 0))
+        for luts in (None, (None, None)):  # not even where no input needs requantizing
+            with pytest.raises(ValueError, match="out_quant"):
+                concat_channels([a, a], luts=luts)
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            concat_channels(t32(np.zeros((1, 1, 2, 2))), t32(np.zeros((1, 1, 4, 4))))
+            concat_channels([t32(np.zeros((1, 1, 2, 2))), t32(np.zeros((1, 1, 4, 4)))])
+
+    def test_concat_needs_inputs(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            concat_channels([])
+
+    def test_concat_needs_a_table_per_input(self):
+        # 2 + 3 channels with one table: the second input must not be dropped
+        a = Tensor(np.zeros((1, 2, 2, 2), np.int8), "i8", QuantParams(0.1, 0))
+        b = Tensor(np.ones((1, 3, 2, 2), np.int8), "i8", QuantParams(0.2, 0))
+        for luts in ((None,), (None, None, None)):
+            with pytest.raises(ValueError, match=f"{len(luts)} lookup tables for 2 concat inputs"):
+                concat_channels([a, b], out_quant=a.quant, luts=luts)
 
 
 def argmax_reference(vec):
