@@ -232,11 +232,12 @@ def plan(model: ModelGraph, config: CampaignConfig) -> CampaignPlan:
         N, locations = _draw_layer(space, lid, config)
         if N:
             entries.append(PlanEntry(lid, N, locations))
-    if not entries:
-        raise ValueError("empty fault space for this configuration")
     unused = sorted(set(config.layers or ()) - {e.layer_id for e in entries})
     if unused:
-        raise ValueError(f"layers filter: no fault sites in layer {', '.join(map(str, unused))} for this configuration")
+        raise ValueError(f"layers filter: no fault sites in layer {', '.join(map(str, unused))} "
+                         f"for this configuration{'' if entries else ', which leaves an empty fault space'}")
+    if not entries:
+        raise ValueError("empty fault space for this configuration")
     return CampaignPlan(entries)
 
 

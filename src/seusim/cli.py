@@ -45,6 +45,13 @@ def _non_negative_int(text: str) -> int:
     return v
 
 
+def _non_negative_float(text: str) -> float:
+    v = float(text)
+    if not 0 <= v < float("inf"):  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return v
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -347,8 +354,23 @@ def cmd_prune(args) -> dict:
     return {"outputs": [out], "config": {"ratios": ratios}, "model_hash": model_digest(graph)}
 
 
+def _as_file_numbers_it(message: str, source) -> str:
+    """`message` about `fold_batch_norm(source)` with the node it starts with,
+    `<kind> <id>`, named as `source` numbers it: folded node j is `source`'s
+    j-th node that is not a batch_norm."""
+    kind, _, rest = message.partition(" ")
+    nid = rest.partition(" ")[0]
+    kept = [n for n in source.nodes if n.kind != "batch_norm"]
+    if not nid.isdecimal() or int(nid) >= len(kept) or kept[int(nid)].kind != kind:
+        return message
+    n = kept[int(nid)]
+    folded = "".join(f" (folded with batch_norm {b.id})" for b in source.nodes
+                     if b.kind == "batch_norm" and b.inputs == [n.id])
+    return f"{kind} {n.id}{folded}{rest[len(nid):]}"
+
+
 def cmd_quantize(args) -> dict:
-    graph = load_model(args.model)
+    graph = source = load_model(args.model)
     model_hash = model_digest(graph)  # of the input, not of its folded form
     if any(n.kind == "batch_norm" for n in graph.nodes):
         graph = compress.fold_batch_norm(graph)
@@ -362,7 +384,12 @@ def cmd_quantize(args) -> dict:
         h, w = args.size
         calib = [zoo.synthetic_input(graph, h, w, seed=args.calib_seed + i)
                  for i in range(args.calib_synthetic)]
-    quantized = compress.quantize_model(graph, calib)
+    try:
+        quantized = compress.quantize_model(graph, calib)
+    except ValueError as e:
+        if graph is source:
+            raise
+        raise ValueError(_as_file_numbers_it(str(e), source)) from None  # its node ids are the folded model's
     out = Path(args.out)
     save_model(quantized, out)
     print(f"parameters: {_param_count(graph)} (float32) -> {_param_count(quantized)} (int8/int32)")
@@ -444,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--prediction", required=True)
     p.add_argument("--layer", type=int)
-    p.add_argument("--halfwidth", type=float, default=camp.DEFAULT_E)
+    p.add_argument("--halfwidth", type=_non_negative_float, default=camp.DEFAULT_E)
     p.add_argument("--out", default="comparison.json")
     p.set_defaults(func=cmd_compare)
 

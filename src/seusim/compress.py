@@ -214,8 +214,10 @@ def _require_finite_params(model: ModelGraph) -> None:
 
 
 def fold_batch_norm(model: ModelGraph) -> ModelGraph:
-    """Absorb conv -> BN pairs into the conv weights and biases.  A
-    parameter that is not finite is a ValueError naming its node."""
+    """Absorb conv -> BN pairs into the conv weights and biases.  The other
+    nodes keep their order, so folded node j is `model`'s j-th node that is
+    not a batch_norm.  A parameter that is not finite is a ValueError naming
+    its node."""
     if model.dtype_mode != "float32":
         raise ValueError("fold_batch_norm requires an f32 model")
     _require_finite_params(model)

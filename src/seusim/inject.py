@@ -4,12 +4,14 @@ Float32 layout: bit 31 = sign, bits 30..23 = exponent, bits 22..0 =
 mantissa.  Integers are two's complement.  `apply_fault` flips a bit of
 a model in place until `revert` restores the original pattern exactly;
 `channel_fault` builds the same fault as a value and leaves the model as
-it was.  Both, and `flip_bit`, flip through one core, `_flip`.
+it was.  Both, and `flip_bit`, flip through one core, `_flip`, which
+classifies a flip by its bit patterns alone (field, direction, and
+whether the result is finite) and decodes no value: the flipped value is
+the faulted tensor's element, or `flip_bit`'s result, as numpy reads it.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,14 +48,7 @@ class FlipClassification(NamedTuple):
 
     field: str  # sign | exponent | mantissa (f32); sign | magnitude (int)
     direction: str  # zero_to_one | one_to_zero
-    pre_value: float
-    post_value: float
     post_kind: str  # finite | infinite | nan
-
-
-# (pre, post) bit patterns -> their float32 values, in one pack and unpack
-_TWO_U32 = struct.Struct("<2I")
-_TWO_F32 = struct.Struct("<2f")
 
 
 def _flip(raw: np.ndarray, index: int | tuple, bit: int, dtype: str) -> tuple[int, int, FlipClassification]:
@@ -73,13 +68,9 @@ def _flip(raw: np.ndarray, index: int | tuple, bit: int, dtype: str) -> tuple[in
             post_kind = "nan" if post & 0x7FFFFF else "infinite"
         else:
             post_kind = "finite"
-        pre_value, post_value = _TWO_F32.unpack(_TWO_U32.pack(pre, post))
-        return pre, post, tuple.__new__(FlipClassification, (fld, direction, pre_value, post_value, post_kind))
-    sign = 1 << (width - 1)  # two's complement: the sign bit weighs -2**(width - 1)
-    fld = "sign" if bit == width - 1 else "magnitude"
-    return pre, post, tuple.__new__(FlipClassification, (
-        fld, direction, float(pre - 2 * (pre & sign)), float(post - 2 * (post & sign)), "finite"
-    ))
+    else:
+        fld, post_kind = "sign" if bit == width - 1 else "magnitude", "finite"
+    return pre, post, tuple.__new__(FlipClassification, (fld, direction, post_kind))
 
 
 def flip_bit(value, dtype: str, bit: int):

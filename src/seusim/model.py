@@ -37,7 +37,6 @@ from .tensor import (
 if TYPE_CHECKING:
     from .inject import ChannelFault
 
-LAYER_KINDS = ("conv", "batch_norm", "max_pool2", "upsample2", "activation", "concat")
 # in an int8 graph, the kinds whose output carries the node's own out_quant;
 # the others carry their input's
 REQUANT_KINDS = ("conv", "activation", "concat")
@@ -258,6 +257,7 @@ _KERNELS = {
     "upsample2": lambda n, srcs, _: upsample2(srcs[0]),
     "concat": lambda n, srcs, luts: concat_channels(srcs, out_quant=n.out_quant, luts=luts),
 }
+LAYER_KINDS = tuple(_KERNELS)
 
 
 def _execute(nodes, v: Tensor, produced: dict[int, Tensor], tables: dict) -> dict[int, Tensor]:
@@ -535,24 +535,28 @@ def enumerate_fault_space(
 # generators
 # ---------------------------------------------------------------------------
 
-def _conv_block(nodes, rng, in_ch, out_ch, act_kind, k=3):
-    """conv(k x k, pad same) -> BN -> activation; returns id of the activation."""
-    fan_in = in_ch * k * k
-    sigma = min(0.5, np.sqrt(2.0 / fan_in))  # keeps essentially all draws inside (-2, 2)
-    wid = len(nodes)
-    prev = [nodes[-1].id] if nodes else []
+def _draw_conv(nodes, rng, in_ch, out_ch, k):
+    """Append a k x k conv (pad same) fed by the last node, if any: its
+    weights drawn first, then its biases; returns its id."""
+    sigma = min(0.5, np.sqrt(2.0 / (in_ch * k * k)))  # keeps essentially all draws inside (-2, 2)
     nodes.append(
         LayerNode(
-            id=wid,
+            id=len(nodes),
             kind="conv",
             params={
                 ParamKind.ConvWeight: tensor32(rng.normal(0.0, sigma, (out_ch, in_ch, k, k))),
                 ParamKind.ConvBias: tensor32(rng.normal(0.0, 0.1, out_ch)),
             },
-            inputs=prev,
+            inputs=[nodes[-1].id] if nodes else [],
             padding=k // 2,
         )
     )
+    return nodes[-1].id
+
+
+def _conv_block(nodes, rng, in_ch, out_ch, act_kind, k=3):
+    """conv(k x k, pad same) -> BN -> activation; returns id of the activation."""
+    wid = _draw_conv(nodes, rng, in_ch, out_ch, k)
     nodes.append(
         LayerNode(
             id=wid + 1,
@@ -616,20 +620,7 @@ def build_unet(
         _conv_block(nodes, rng, ch + width, width, activation_kind)
         ch = width
 
-    # classifier head: 1x1 conv, no BN or activation
-    fan_in = ch
-    sigma = min(0.5, np.sqrt(2.0 / fan_in))
-    nodes.append(
-        LayerNode(
-            id=len(nodes),
-            kind="conv",
-            params={
-                ParamKind.ConvWeight: tensor32(rng.normal(0.0, sigma, (n_classes, ch, 1, 1))),
-                ParamKind.ConvBias: tensor32(rng.normal(0.0, 0.1, n_classes)),
-            },
-            inputs=[nodes[-1].id],
-        )
-    )
+    _draw_conv(nodes, rng, ch, n_classes, 1)  # classifier head: 1x1 conv, no BN or activation
     graph = ModelGraph(
         nodes,
         n_classes=n_classes,

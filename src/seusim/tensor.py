@@ -50,7 +50,8 @@ views, rows then columns.  A window holding a NaN gives NaN (`np.maximum`,
 never `np.fmax`); which NaN payload, and which zero sign where a window
 holds both +0.0 and -0.0, may differ from a one-pass reduction.  No class
 map can see either: `argmax_classes` ranks every NaN alike and compares
-the zeros as equal, and every conv sum starts from +0.0.  Upsampling
+the zeros as equal, and every conv sum starts from +0.0.  It ranks int8
+logits by the same loop as float32 ones, each code its own key.  Upsampling
 writes its input into the four strided (row, column) slots of one output
 buffer, so the output is its only allocation.
 """
@@ -66,7 +67,6 @@ from scipy.special import expit
 DTYPES = {"f32": np.dtype(np.float32), "i8": np.dtype(np.int8), "i32": np.dtype(np.int32)}
 BIT_WIDTHS = {"f32": 32, "i8": 8, "i32": 32}
 RAW_VIEWS = {"f32": np.dtype(np.uint32), "i8": np.dtype(np.uint8), "i32": np.dtype(np.uint32)}
-ACTIVATION_KINDS = ("relu", "sigmoid", "hard_sigmoid")
 
 # int8 code range used everywhere saturation applies
 QMIN, QMAX = -128, 127
@@ -456,6 +456,7 @@ _F32_ACTIVATIONS = {
     "sigmoid": expit,
     "hard_sigmoid": hard_sigmoid,
 }
+ACTIVATION_KINDS = tuple(_F32_ACTIVATIONS)
 
 
 def activation_lut(kind: str, in_quant: QuantParams, out_quant: QuantParams) -> np.ndarray:
@@ -560,7 +561,9 @@ def argmax_classes(logits: Tensor) -> np.ndarray:
 
     Deterministic total order: NaN ranks below every finite and infinite
     value, ties break toward the lowest class index, and an all-NaN pixel
-    yields class 0.
+    yields class 0.  float32 and int8 logits are ranked by one loop: an
+    int8 code is its own key, since one QuantParams per tensor makes code
+    order value order.
     """
     v = logits.data
     if v.ndim != 3:
@@ -569,17 +572,14 @@ def argmax_classes(logits: Tensor) -> np.ndarray:
     if n_classes == 0:
         raise ValueError("empty class dimension")
 
-    if logits.dtype != "f32":
-        # integer codes share one QuantParams per tensor, so code order is value order
-        return np.argmax(v, axis=0).astype(np.int32)
-
-    key = np.fmax(v, np.float32(-np.inf))  # NaN ranks as -inf
+    key = np.fmax(v, np.float32(-np.inf)) if logits.dtype == "f32" else v  # NaN ranks as -inf
     top = key.max(axis=0)
     best = np.zeros(v.shape[1:], dtype=np.int32)
     for c in range(n_classes - 1, -1, -1):  # descending: the lowest tied class is written last
         np.copyto(best, c, where=key[c] == top)
     # where the maximum is -inf, a NaN keyed -inf may precede a real -inf:
-    # the lowest non-NaN class wins there, class 0 if every class is NaN
+    # the lowest non-NaN class wins there, class 0 if every class is NaN;
+    # an integer key is never -inf
     low = top == -np.inf
     if low.any():
         best[low] = np.argmax(~np.isnan(v[:, low]), axis=0)

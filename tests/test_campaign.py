@@ -4,6 +4,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import re
 import signal
 import sys
 import time
@@ -179,6 +180,11 @@ class TestPlan:
         with pytest.raises(ValueError, match="empty fault space"):
             plan(g, CampaignConfig(layers=(99,)))
 
+    def test_kinds_the_model_lacks_leave_an_empty_fault_space(self):
+        g = single_conv_model()
+        with pytest.raises(ValueError, match="empty fault space for this configuration"):
+            plan(g, CampaignConfig(included_kinds=frozenset({ParamKind.BNGamma})))
+
     @pytest.mark.parametrize("field, value", [
         ("layers", ()), ("layers", (0, -1)), ("bits", ()), ("bits", (-1,)), ("bits", (30, 32)), ("bits", (30, 40)),
     ])
@@ -187,7 +193,8 @@ class TestPlan:
         with pytest.raises(ValueError, match=f"{field} filter must be a non-empty set"):
             CampaignConfig(**{field: value})
 
-    @pytest.mark.parametrize("layers, named", [((0, 99), "99"), ((0, 2, 4), "2"), ((99, 4, 98), "98, 99")])
+    @pytest.mark.parametrize("layers, named", [((0, 99), "99"), ((0, 2, 4), "2"), ((99, 4, 98), "98, 99"),
+                                               ((2,), "2"), ((99,), "99")])
     def test_layer_filter_names_the_layers_without_fault_sites(self, layers, named):
         # 99 is no layer and 2 an activation, which holds no parameter
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
@@ -362,6 +369,28 @@ class TestRunCampaign:
         expected = run_campaign(g, cfg)[0]
         for jobs in (1, 2, 3, 8):
             assert list(injections(g, cfg, jobs)) == run_campaign(g, cfg, jobs)[0] == expected
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_an_injection_error_is_raised_at_its_turn(self, monkeypatch, jobs):
+        # the failing injection is chosen by its location, which every process agrees on
+        g, cfg = tiny_campaign_config(cap=5)
+        cfg = replace(cfg, inputs=(cfg.inputs[0], synthetic_input(g, 16, 16, seed=2)))
+        expected = run_campaign(g, cfg)[0]
+        locations = [loc for e in plan(g, cfg).entries for loc in e.locations]
+        real = camp.channel_fault
+        for k in (0, 1, len(locations) // 2, len(locations) - 1):
+            def failing(model, loc, bad=locations[k]):
+                if loc == bad:
+                    raise ValueError(f"injection at {loc} failed")
+                return real(model, loc)
+
+            monkeypatch.setattr(camp, "channel_fault", failing)
+            records = []
+            with deadline(20), pytest.raises(ValueError, match=re.escape(f"injection at {locations[k]} failed")):
+                for r in injections(g, cfg, jobs):
+                    records.append(r)
+            assert records == expected[: k * len(cfg.inputs)]
             assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [1, 2])

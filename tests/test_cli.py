@@ -541,6 +541,20 @@ class TestPredictCompare:
         c = json.loads(out.read_text())["comparisons"][0]
         assert c["abs_deviation"] < 1e-4 and c["exceeds_halfwidth"] is False
 
+    @pytest.mark.parametrize("halfwidth", ["nan", "-1", "inf"])
+    def test_compare_halfwidth_must_be_finite_and_non_negative(self, tmp_path, capsys, halfwidth):
+        # nan would flag nothing and write invalid JSON, -1 flag everything, inf nothing
+        pred = tmp_path / "p.json"
+        run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27",
+                "--signs", "n,p,n,p,n,p", "--out", pred)
+        matrix = tmp_path / "matrix.csv"
+        self._write_matrix(matrix, [(2, 30, 6, 0.34, 0.3, 0.4, 0.83)])
+        out = tmp_path / "cmp.json"
+        assert run_cli("compare", "--matrix", matrix, "--prediction", pred, "--out", out,
+                       f"--halfwidth={halfwidth}") == 1
+        assert f"argument --halfwidth: must be a finite number >= 0, got {halfwidth}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_weighted_quantized_error(self, tmp_path):
         # every bit of the profile's range measured: the weighted comparison joins the MSB one
         pred = tmp_path / "p.json"
@@ -707,6 +721,22 @@ class TestPruneQuantize:
                        "--size", 16, 16) == 2
         # named as the file numbers it, not as the folded model does
         assert capsys.readouterr().err == "error: conv 4 ConvWeight holds non-finite values\n"
+        assert not out.exists()
+
+
+    def test_error_after_folding_names_the_files_node(self, tmp_path, capsys):
+        # the folded model's conv 3 is the file's conv 4, folded with batch_norm 5; node 3 is a max_pool2
+        model = tmp_path / "m.bin"
+        assert run_cli("gen", "--depth", 1, "--base-channels", 8, "--seed", 3, "--out", model) == 0
+        g = load_model(model)
+        g.nodes[4].params[ParamKind.ConvWeight].data[...] = 3e38
+        save_model(g, model)
+        capsys.readouterr()
+        out = tmp_path / "q.bin"
+        assert run_cli("quantize", "--model", model, "--out", out, "--calib-synthetic", 2,
+                       "--size", 16, 16) == 2
+        assert capsys.readouterr().err == ("error: conv 4 (folded with batch_norm 5) output on calibration "
+                                           "input 0 spans [inf, inf], not a finite range\n")
         assert not out.exists()
 
 

@@ -56,7 +56,6 @@ class TestFlipBit:
         v, cls = flip_bit(1, "i8", 7)
         assert v == -127  # 0x01 -> 0x81 two's complement
         assert cls.field == "sign" and cls.direction == "zero_to_one"
-        assert cls.pre_value == 1.0 and cls.post_value == -127.0
 
     def test_i32_magnitude_bit(self):
         v, cls = flip_bit(5, "i32", 1)
@@ -214,8 +213,7 @@ class TestChannelFault:
         handle = apply_fault(model, loc)
         try:
             assert (fault.pre_bits, fault.post_bits) == (handle.pre_bits, handle.post_bits)
-            # repr, not ==: a NaN pre_value or post_value never equals itself
-            assert repr(fault.classification) == repr(handle.classification)
+            assert fault.classification == handle.classification
             c = fault.channel
             assert fault.param.bit_equal(Tensor(t.data[c : c + 1], t.dtype, t.quant))
         finally:

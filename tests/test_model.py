@@ -9,6 +9,7 @@ import pytest
 
 from seusim.model import (
     ALL_PARAM_KINDS,
+    LAYER_KINDS,
     LayerNode,
     ModelGraph,
     ParamKind,
@@ -30,7 +31,7 @@ from seusim.modelio import (
     save_model,
     serialize_model,
 )
-from seusim.tensor import QuantParams, Tensor, quantize_affine
+from seusim.tensor import ACTIVATION_KINDS, QuantParams, Tensor, quantize_affine
 
 REF_FREQS = [0.0, 0.4491, 0.0441, 0.2695, 0.0747, 0.1627]
 REF_BIASES = [-0.85, 0.32, -0.03, 0.04, -0.17, 0.11]
@@ -209,6 +210,29 @@ class TestModelFile:
         assert loaded.dtype_mode == "int8"
         assert loaded.input_quant == q.input_quant
         assert [n.out_quant for n in loaded.nodes] == [n.out_quant for n in q.nodes]
+
+    @pytest.mark.parametrize("dtype_mode", ["float32", "int8"])
+    @pytest.mark.parametrize("act", ACTIVATION_KINDS)
+    def test_every_activation_and_layer_kind_round_trips(self, tmp_path, act, dtype_mode):
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, activation_kind=act, seed=2)
+        if dtype_mode == "int8":
+            g = quantize_model(fold_batch_norm(g), [synthetic_input(g, 16, 16, seed=0)])
+        # the f32 U-Net holds every layer kind, its int8 form all but batch_norm
+        assert {n.kind for n in g.nodes} | {"batch_norm"} == set(LAYER_KINDS)
+        assert {n.act for n in g.nodes if n.kind == "activation"} == {act}
+        path = tmp_path / "m.bin"
+        save_model(g, path)
+        loaded = load_model(path)
+        assert loaded.bit_equal(g) and loaded.dtype_mode == dtype_mode
+        assert model_digest(loaded) == model_digest(g)
+
+    def test_every_layer_and_activation_kind_has_a_file_tag(self):
+        import seusim.modelio
+
+        assert set(seusim.modelio._KIND_TAGS) == set(LAYER_KINDS)
+        assert set(seusim.modelio._ACT_TAGS) == {None, *ACTIVATION_KINDS}
 
     def test_bit_equal_compares_execution_fields(self):
         from dataclasses import replace

@@ -770,6 +770,23 @@ class TestArgmaxClasses:
             for j in range(v.shape[2]):
                 assert got[i, j] == argmax_reference([float(c) for c in v[:, i, j]]), v[:, i, j]
 
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda c: arrays(
+                np.int8, st.tuples(st.just(c), st.integers(1, 4), st.integers(1, 4)),
+                elements=st.sampled_from([-128, -1, 0, 1, 127]),
+            )
+        )
+    )
+    def test_int8_codes_match_scalar_oracle_per_pixel(self, v):
+        # the f32 rule ranks the codes: ties to the lowest class, the extreme codes included
+        got = argmax_classes(Tensor(v, "i8", QuantParams(0.5, 3)))
+        assert got.dtype == np.int32
+        for i in range(v.shape[1]):
+            for j in range(v.shape[2]):
+                assert got[i, j] == argmax_reference([float(c) for c in v[:, i, j]]), v[:, i, j]
+
     def test_int8_path(self):
         qp = QuantParams(0.5, 3)
         logits = Tensor(np.array([5, 9, 9], dtype=np.int8).reshape(3, 1, 1), "i8", qp)
