@@ -52,6 +52,13 @@ def _non_negative_float(text: str) -> float:
     return v
 
 
+def _bit_position(text: str) -> int:
+    v = int(text)
+    if not 0 <= v <= 31:  # the bits of a 32-bit bias
+        raise argparse.ArgumentTypeError(f"must be a bit position in 0..31, got {text}")
+    return v
+
+
 def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -461,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--p-fi", type=_float_list, help="per-bias flip probabilities (default uniform)")
     p.add_argument("--k-sat", type=int, default=17)
-    p.add_argument("--bit-min", type=int, default=0)
-    p.add_argument("--bit-max", type=int, default=30)
+    p.add_argument("--bit-min", type=_bit_position, default=0)
+    p.add_argument("--bit-max", type=_bit_position, default=30)
     p.add_argument("--weighting", choices=("saturated_only", "linear_ramp"), default="saturated_only")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

@@ -7,11 +7,14 @@ only.  Each transform derives its nodes and graph from the source with
 `dataclasses.replace`, so a derived node keeps every field its transform
 does not name.
 
-`sensitivity_sweep` scores each prune ratio without a whole forward pass:
-it runs the golden forward once per input and, per ratio, only the pruned
-layer's descendants in `apply_prune`'s graph, on the golden outputs of
-everything else and the golden layer output's kept channels.  The values
-are bit-equal to `evaluate_model` on the pruned model.
+`sensitivity_sweep` scores each prune ratio without a whole forward pass
+or a whole pruned model.  It ranks the layer's filters once and runs the
+golden forward once per input.  Per distinct number of dropped filters
+(ratios that drop as many keep the same filters, and dropping none is the
+golden model) it derives only the layer's descendants, through the same
+rewiring as `apply_prune`, and replays them once per input on the golden
+outputs of everything else and the golden layer output's kept channels.
+The values are bit-equal to `evaluate_model` on `apply_prune`'s model.
 """
 
 from __future__ import annotations
@@ -85,6 +88,42 @@ def kept_filters(weight: Tensor, ratio: float) -> np.ndarray:
     return np.sort(l1_filter_ranking(weight)[_filters_to_drop(ratio, weight.shape[0]) :])
 
 
+def _rewire(model: ModelGraph, nodes, kept: dict[int, np.ndarray]) -> list[LayerNode]:
+    """`nodes` of `model`, in order, derived for a prune that keeps, per node
+    id in `kept`, those ascending output channels.  A conv not in `kept`
+    keeps all its filters, and a node none of whose inputs is in `kept`
+    keeps its parameters, the source's arrays; every other parameter is a
+    new array.  Conv inputs and outputs and BN parameters are sliced, and a
+    concat shifts each input's kept channels by that input's offset."""
+    kept = dict(kept)
+    derived = []
+    for n in nodes:
+        srcs = [kept.get(i) for i in n.inputs]  # None: every channel of that input
+        chans = srcs[0] if srcs else None
+        params = dict(n.params)
+        if n.kind == "conv":
+            out = kept.get(n.id)
+            w, b = params[ParamKind.ConvWeight].data, params[ParamKind.ConvBias].data
+            if out is not None:
+                w, b = w[out], b[out]
+            if chans is not None:
+                w = w[:, chans]
+            if out is not None or chans is not None:
+                params = {ParamKind.ConvWeight: Tensor(w, "f32"), ParamKind.ConvBias: Tensor(b, "f32")}
+            chans = out
+        elif n.kind == "batch_norm" and chans is not None:
+            params = {k: Tensor(t.data[chans], "f32") for k, t in params.items()}
+        elif n.kind == "concat" and any(c is not None for c in srcs):
+            widths = [out_channels(model, model.node(i)) for i in n.inputs]
+            offsets = np.cumsum([0] + widths[:-1])
+            chans = np.concatenate([(np.arange(w) if c is None else c) + o
+                                    for c, w, o in zip(srcs, widths, offsets)])
+        if chans is not None:
+            kept[n.id] = chans
+        derived.append(replace(n, params=params))
+    return derived
+
+
 def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
     """Remove the lowest-L1 filters per conv layer and rewire consumers.
 
@@ -92,6 +131,7 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
     Removed output channels propagate through BN, activations, pooling,
     upsampling, and concat skips (where channel offsets shift) into every
     consumer's input-channel axis.  Output class count never changes.
+    The pruned model shares no array with `model`.
     """
     if model.dtype_mode != "float32":
         raise ValueError("apply_prune requires an f32 model")
@@ -102,29 +142,13 @@ def apply_prune(model: ModelGraph, plan: PruningPlan) -> ModelGraph:
         if model.node(lid).kind != "conv":
             raise ValueError(f"layer {lid} is not a conv layer")
 
-    kept: dict[int, np.ndarray] = {}  # node id -> its kept output channels
-    nodes: list[LayerNode] = []
+    kept = {}  # every conv, so that every parameter is sliced into a new array
     for n in model.nodes:
-        chans = kept[n.inputs[0]] if n.inputs else np.arange(model.n_input_channels)
-        params = {}
         if n.kind == "conv":
             w = n.params[ParamKind.ConvWeight]
-            keep = kept_filters(w, plan.ratio(n.id))
-            params = {
-                ParamKind.ConvWeight: Tensor(w.data[keep][:, chans], "f32"),
-                ParamKind.ConvBias: Tensor(n.params[ParamKind.ConvBias].data[keep], "f32"),
-            }
-            chans = keep
-        elif n.kind == "batch_norm":
-            params = {k: Tensor(t.data[chans], "f32") for k, t in n.params.items()}
-        elif n.kind == "concat":
-            widths = [out_channels(model, model.node(src)) for src in n.inputs]
-            offsets = np.cumsum([0] + widths[:-1])
-            chans = np.concatenate([kept[src] + o for src, o in zip(n.inputs, offsets)])
-        kept[n.id] = chans
-        nodes.append(replace(n, params=params))
-
-    pruned = replace(model, nodes=nodes)
+            r = plan.ratio(n.id)
+            kept[n.id] = kept_filters(w, r) if r else np.arange(w.shape[0])
+    pruned = replace(model, nodes=_rewire(model, model.nodes, kept))
     validate_model(pruned)
     return pruned
 
@@ -171,29 +195,43 @@ def sensitivity_sweep(model: ModelGraph, inputs, labels, layer_id: int) -> Sensi
     input and scores ratio 0.  In a pruned graph every node outside the
     layer's cone keeps its parameters, so its output is the golden one, and
     the layer's own output is the golden output's kept channels: a
-    channel's sums do not depend on the other filters.
+    channel's sums do not depend on the other filters.  The layer is
+    ranked once, and ratios that drop the same number of filters keep the
+    same ones, so each distinct drop count is scored once.  A layer id that
+    names no prunable conv is refused before any forward pass.
     """
-    if layer_id == model.nodes[-1].id:
+    if model.dtype_mode != "float32":
+        raise ValueError("sensitivity_sweep requires an f32 model")
+    if model.node(layer_id).kind != "conv":
+        raise ValueError(f"layer {layer_id} is not a conv layer")
+    last = model.nodes[-1].id
+    if layer_id == last:
         raise ValueError("the final classifier layer is excluded from pruning")
     _check_eval_set(inputs, labels)
-    last = model.nodes[-1].id
     cone = descendants(model, layer_id)
     # what the cone reads from outside itself, and the output if it lies outside
     reads = ({layer_id, last} | {i for n in cone for i in n.inputs}) - {n.id for n in cone}
     giou = lambda class_maps: _pooled_iou(labels, class_maps, model.n_classes)[0]
+    ranking = l1_filter_ranking(model.node(layer_id).params[ParamKind.ConvWeight])
+    drops = [_filters_to_drop(r, ranking.size) for r in PRUNE_RATIOS]
 
     goldens = [_golden_reads(model, x, reads) for x in inputs]
-    values = [giou([golden.classes for golden in goldens])]
-    for r in PRUNE_RATIOS[1:]:
-        pruned = apply_prune(model, PruningPlan({layer_id: r}))
-        keep = kept_filters(model.node(layer_id).params[ParamKind.ConvWeight], r)
+    scores = {0: giou([golden.classes for golden in goldens])}  # GIoU per drop count
+    for k in dict.fromkeys(drops):
+        if k in scores:
+            continue
+        keep = np.sort(ranking[k:])
+        nodes = list(model.nodes)  # the source's nodes with the cone's derived in place
+        for n in _rewire(model, cone, {layer_id: keep}):
+            nodes[n.id] = n
+        pruned = replace(model, nodes=nodes)
         class_maps = []
         for golden in goldens:
             base = golden.produced[layer_id]
             kept = Tensor(base.data[:, keep], base.dtype, base.quant)
             class_maps.append(argmax_classes(replay(pruned, golden, layer_id, kept)))
-        values.append(giou(class_maps))
-    return SensitivityCurve(layer_id, PRUNE_RATIOS, tuple(values))
+        scores[k] = giou(class_maps)
+    return SensitivityCurve(layer_id, PRUNE_RATIOS, tuple(scores[k] for k in drops))
 
 
 def stopping_check(baseline: tuple[float, float], current: tuple[float, float]) -> str:

@@ -555,6 +555,21 @@ class TestPredictCompare:
         assert f"argument --halfwidth: must be a finite number >= 0, got {halfwidth}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [("--bit-min", -1), ("--bit-max", 32), ("--bit-max", 40)])
+    def test_predict_bit_range_must_be_bit_positions(self, tmp_path, capsys, option, value):
+        # --bit-max 40 would weight bits no 32-bit bias has and exit 0
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
+                       "--weighting", "linear_ramp", f"{option}={value}", "--out", out) == 1
+        assert f"argument {option}: must be a bit position in 0..31, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_bit_range_reaches_bit_31(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run_cli("predict", "--freqs", "0,44.91,4.41,26.95,7.47,16.27", "--signs", "n,p,n,p,n,p",
+                       "--bit-max", 31, "--out", out) == 0
+        assert json.loads(out.read_text())["profile"]["bit_range"] == [0, 31]
+
     def test_compare_weighted_quantized_error(self, tmp_path):
         # every bit of the profile's range measured: the weighted comparison joins the MSB one
         pred = tmp_path / "p.json"

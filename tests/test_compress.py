@@ -15,6 +15,7 @@ from seusim.compress import (
     sensitivity_sweep,
     stopping_check,
 )
+from seusim.inject import FaultLocation, apply_fault
 from seusim.model import (
     ALL_PARAM_KINDS,
     LayerNode,
@@ -111,6 +112,16 @@ class TestApplyPrune:
         after = enumerate_fault_space(pruned, ALL_PARAM_KINDS).total()
         assert after < before
 
+    def test_output_shares_no_array_with_source(self):
+        g = self.unet()
+        before = g.copy()
+        pruned = apply_prune(g, PruningPlan({0: 0.5, 9: 0.25}))  # convs 4 and 12 stay at ratio 0
+        for n in pruned.nodes:
+            for kind in n.params:
+                apply_fault(pruned, FaultLocation(n.id, kind, 0, 30))
+        assert g.bit_equal(before)
+        assert not pruned.bit_equal(apply_prune(g, PruningPlan({0: 0.5, 9: 0.25})))
+
     def test_final_layer_protected(self):
         g = self.unet()
         with pytest.raises(ValueError, match="final"):
@@ -158,6 +169,16 @@ def essential_filter_model():
     return g, x
 
 
+def forbid_forward(monkeypatch):
+    """Make any forward pass fail the test."""
+    import seusim.model
+
+    def no_forward(*args):
+        raise AssertionError("forward pass ran")
+
+    monkeypatch.setattr(seusim.model, "_execute", no_forward)
+
+
 class TestSensitivitySweep:
     def test_ratio_zero_equals_baseline_exactly(self):
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
@@ -181,6 +202,14 @@ class TestSensitivitySweep:
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         with pytest.raises(ValueError, match="excluded"):
             sensitivity_sweep(g, [], [], g.nodes[-1].id)
+
+    def test_quantized_model_rejected_before_any_forward(self, monkeypatch):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        x = synthetic_input(g, 16, 16, seed=1)
+        q = quantize_model(fold_batch_norm(g), [x])
+        forbid_forward(monkeypatch)
+        with pytest.raises(ValueError, match="requires an f32 model"):
+            sensitivity_sweep(q, [x], [np.zeros((16, 16), dtype=np.int64)], 0)
 
     def test_essential_filter_collapse(self):
         g, x = essential_filter_model()
@@ -214,18 +243,58 @@ class TestSensitivitySweepDifferential:
 
     @pytest.mark.parametrize("n_inputs, n_labels", [(1, 2), (2, 1), (0, 0)])
     def test_mismatched_inputs_raise_before_any_forward(self, monkeypatch, n_inputs, n_labels):
-        import seusim.compress
-        import seusim.model
-
-        def no_forward(*args):
-            raise AssertionError("forward pass ran")
-
-        monkeypatch.setattr(seusim.model, "_execute", no_forward)
+        forbid_forward(monkeypatch)
         g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         x = synthetic_input(g, 16, 16, seed=1)
         labels = np.zeros((16, 16), dtype=np.int64)
         with pytest.raises(ValueError, match="need matching, non-empty inputs and labels"):
             sensitivity_sweep(g, [x] * n_inputs, [labels] * n_labels, 0)
+
+    @pytest.mark.parametrize("layer_id, message", [
+        (99, "no layer 99"), (-1, "no layer -1"), (1, "layer 1 is not a conv layer")])
+    def test_bad_layer_raises_before_any_forward(self, monkeypatch, layer_id, message):
+        forbid_forward(monkeypatch)
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        x = synthetic_input(g, 16, 16, seed=1)
+        with pytest.raises(ValueError, match=message):
+            sensitivity_sweep(g, [x], [np.zeros((16, 16), dtype=np.int64)], layer_id)
+
+    def test_each_distinct_drop_count_is_scored_once(self, monkeypatch):
+        import seusim.compress
+        import seusim.model
+
+        kept = []
+
+        def counting_replay(graph, golden, layer_id, output):
+            kept.append(output.shape[1])
+            return seusim.model.replay(graph, golden, layer_id, output)
+
+        # the sweep reads replay at the binding compress imported it to
+        monkeypatch.setattr(seusim.compress, "replay", counting_replay)
+        g = build_unet(depth=1, base_channels=8, n_input_channels=3, n_classes=5, seed=3)
+        other = build_unet(depth=1, base_channels=8, n_input_channels=3, n_classes=5, seed=4)
+        inputs = [synthetic_input(g, 16, 16, seed=s) for s in (5, 6)]
+        labels = [predict_classes(other, x) for x in inputs]
+        assert g.nodes[0].params[ParamKind.ConvWeight].shape[0] == 8
+        # drops per ratio: 0 0 1 2 3 4 4 5 6 7, so 7 distinct non-zero counts, each replayed per input
+        curve = sensitivity_sweep(g, inputs, labels, 0)
+        assert kept == [n for n in (7, 6, 5, 4, 3, 2, 1) for _ in inputs]
+        monkeypatch.undo()
+        expected = {r: evaluate_model(apply_prune(g, PruningPlan({0: r})), inputs, labels)[0]
+                    for r in (0.0, 0.1, 0.5, 0.6)}
+        values = dict(zip(curve.ratios, curve.giou_values))
+        assert values[0.0] == values[0.1] == expected[0.0] == expected[0.1]
+        assert values[0.5] == values[0.6] == expected[0.5] == expected[0.6]
+
+    def test_sweep_leaves_its_model_unchanged(self):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        before = g.copy()
+        x = synthetic_input(g, 16, 16, seed=1)
+        labels = predict_classes(build_unet(1, 4, 3, 6, seed=1), x)
+        for n in g.nodes[:-1]:
+            if n.kind == "conv":
+                sensitivity_sweep(g, [x], [labels], n.id)
+        assert g.bit_equal(before)
 
 
 class TestStoppingCheck:
