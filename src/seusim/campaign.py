@@ -91,7 +91,7 @@ from .model import (
     predict_classes,
 )
 from .modelio import model_digest  # noqa: F401
-from .tensor import Tensor
+from .tensor import FORMATS, Tensor
 
 DEFAULT_E = 0.025
 DEFAULT_T = 1.96
@@ -152,8 +152,9 @@ class CampaignConfig:
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if not self.included_kinds:
             raise ValueError("included_kinds must not be empty")
-        if self.bits is not None and (len(self.bits) == 0 or any(not 0 <= b < 32 for b in self.bits)):
-            raise ValueError(f"bits filter must be a non-empty set of positions in 0..31, got {self.bits}")
+        top = max(f.width for f in FORMATS.values()) - 1
+        if self.bits is not None and (len(self.bits) == 0 or any(not 0 <= b <= top for b in self.bits)):
+            raise ValueError(f"bits filter must be a non-empty set of positions in 0..{top}, got {self.bits}")
         if self.layers is not None and (len(self.layers) == 0 or any(lid < 0 for lid in self.layers)):
             raise ValueError(f"layers filter must be a non-empty set of non-negative layer ids, got {self.layers}")
 
@@ -578,10 +579,11 @@ def write_records_csv(path, records: Iterable[InjectionRecord]) -> None:
 def read_records_csv(path) -> list[InjectionRecord]:
     """Records of a records file, checked as `read_table` checks every table.
     A row's `error_rate` must lie in [0, 1], and its `post_bits` must be its
-    `pre_bits` with bit `bit` flipped, both patterns of one width; otherwise
-    the ValueError names the line and the column."""
+    `pre_bits` with bit `bit` flipped, both the `width // 4` hex digits of one
+    row of `seusim.tensor.FORMATS`; otherwise the ValueError names the line and the column."""
+    digits = {f.width // 4 for f in FORMATS.values()}
     def hex_bits(text: str) -> tuple[int, int]:  # the bits, and the width the digits give
-        if not re.fullmatch("[0-9a-fA-F]{2}|[0-9a-fA-F]{8}", text):
+        if len(text) not in digits or not re.fullmatch("[0-9a-fA-F]+", text):
             raise ValueError
         return int(text, 16), len(text) * 4
 

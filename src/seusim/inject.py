@@ -1,8 +1,8 @@
 """Bit-exact single-bit-upset injection and bit-level parameter analysis.
 
-Float32 layout: bit 31 = sign, bits 30..23 = exponent, bits 22..0 =
-mantissa.  Integers are two's complement.  `apply_fault` flips a bit of
-a model in place until `revert` restores the original pattern exactly;
+Each format's layout (sign, exponent and mantissa fields, or two's
+complement) is its row of `seusim.tensor.FORMATS`.  `apply_fault` flips a
+bit of a model in place until `revert` restores the original pattern exactly;
 `channel_fault` builds the same fault as a value and leaves the model as
 it was.  Both, and `flip_bit`, flip through one core, `_flip`, which
 classifies a flip by its bit patterns alone (field, direction, and
@@ -18,14 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ModelGraph, ParamKind
-from .tensor import BIT_WIDTHS, DTYPES, RAW_VIEWS, Tensor
+from .tensor import FORMATS, Tensor
 
-F32_SIGN_BIT = 31
-F32_EXP_MSB = 30
-F32_EXP_LSB = 23
-# exponent bits excluding the MSB; all ones here with bit 30 clear puts
-# the magnitude in [1, 2), one flip away from Inf/NaN
-PARTIAL_EXPONENT_BITS = range(F32_EXP_LSB, F32_EXP_MSB)
+_F32_EXP = FORMATS["f32"].exponent
+# float32 exponent bits excluding the MSB; all ones here with the MSB clear
+# puts the magnitude in [1, 2), one flip away from Inf/NaN
+PARTIAL_EXPONENT_BITS = range((_F32_EXP & -_F32_EXP).bit_length() - 1, _F32_EXP.bit_length() - 1)
 
 
 class FaultStateError(RuntimeError):
@@ -46,7 +44,7 @@ class FlipClassification(NamedTuple):
     with `tuple.__new__`, which skips the NamedTuple's own `__new__`, a
     Python function that doubles the cost."""
 
-    field: str  # sign | exponent | mantissa (f32); sign | magnitude (int)
+    field: str  # sign | exponent | mantissa (float); sign | magnitude (int)
     direction: str  # zero_to_one | one_to_zero
     post_kind: str  # finite | infinite | nan
 
@@ -55,21 +53,19 @@ def _flip(raw: np.ndarray, index: int | tuple, bit: int, dtype: str) -> tuple[in
     """Toggle `bit` of element `index` of `raw`, an unsigned view of a
     `dtype` tensor, in place; `index` is a flat index, or () for a 0-d view.
     Returns (pre_bits, post_bits, classification)."""
-    width = BIT_WIDTHS[dtype]
+    _, _, width, exp, man = FORMATS[dtype]
     if not 0 <= bit < width:
         raise ValueError(f"bit {bit} out of range for {dtype}")
     pre = raw.item(index)
-    post = pre ^ (1 << bit)
+    mask = 1 << bit
+    post = pre ^ mask
     raw[index] = post
-    direction = "one_to_zero" if pre >> bit & 1 else "zero_to_one"
-    if dtype == "f32":
-        fld = "sign" if bit == F32_SIGN_BIT else "exponent" if bit >= F32_EXP_LSB else "mantissa"
-        if post >> F32_EXP_LSB & 0xFF == 0xFF:
-            post_kind = "nan" if post & 0x7FFFFF else "infinite"
-        else:
-            post_kind = "finite"
+    direction = "one_to_zero" if pre & mask else "zero_to_one"
+    fld = "sign" if bit == width - 1 else "exponent" if mask & exp else "mantissa" if mask & man else "magnitude"
+    if exp and post & exp == exp:  # an integer has no exponent to fill
+        post_kind = "nan" if post & man else "infinite"
     else:
-        fld, post_kind = "sign" if bit == width - 1 else "magnitude", "finite"
+        post_kind = "finite"
     return pre, post, tuple.__new__(FlipClassification, (fld, direction, post_kind))
 
 
@@ -79,9 +75,10 @@ def flip_bit(value, dtype: str, bit: int):
     Returns (new_value, FlipClassification).
     """
     # a 0-d array, never a Python float: that would quiet a signalling NaN
-    cell = np.empty((), DTYPES[dtype])
+    fmt = FORMATS[dtype]
+    cell = np.empty((), fmt.dtype)
     cell[()] = value
-    _, _, cls = _flip(cell.view(RAW_VIEWS[dtype]), (), bit, dtype)
+    _, _, cls = _flip(cell.view(fmt.raw), (), bit, dtype)
     return cell[()], cls
 
 
@@ -201,26 +198,21 @@ def partial_exponent_census(model: ModelGraph, bit: int) -> dict[int, PartialExp
     """How exposed each layer is to partial-exponent completion at `bit`.
 
     frac_zero_at_bit: parameters with a '0' at the given exponent bit.
-    frac_one_flip_from_filled: among those, the fraction whose exponent
-    bits 29..23 hold exactly one zero while bit 30 is clear, so this
+    frac_one_flip_from_filled: among those, the fraction whose exponent bits
+    below its MSB hold exactly this one zero while the MSB is clear, so this
     single flip fills the partial exponent and lifts |x| into [1, 2).
     """
     if bit not in PARTIAL_EXPONENT_BITS:
-        raise ValueError(f"bit must be in 23..29, got {bit}")
+        raise ValueError(f"bit must be in {PARTIAL_EXPONENT_BITS[0]}..{PARTIAL_EXPONENT_BITS[-1]}, got {bit}")
     if model.dtype_mode != "float32":
         raise ValueError("partial_exponent_census requires an f32 model")
     out = {}
     for lid, vals in _layer_f32_values(model):
-        u = vals.view(np.uint32)
+        u = vals.view(FORMATS["f32"].raw)
         n = u.size
-        zero_at_bit = (u >> np.uint32(bit)) & 1 == 0
-        n_zero = int(np.count_nonzero(zero_at_bit))
-        partial = (u >> np.uint32(F32_EXP_LSB)) & np.uint32(0x7F)
-        ones = np.zeros(u.shape, dtype=np.int32)
-        for k in range(7):
-            ones += ((partial >> np.uint32(k)) & 1).astype(np.int32)
-        msb_clear = (u >> np.uint32(F32_EXP_MSB)) & 1 == 0
-        one_away = zero_at_bit & (ones == 6) & msb_clear
+        n_zero = n - int(np.count_nonzero(u & (1 << bit)))
+        # the exponent with its MSB and `bit` clear and every other bit set
+        one_away = u & _F32_EXP == (_F32_EXP >> 1 & _F32_EXP) ^ (1 << bit)
         out[lid] = PartialExponentCensus(
             layer_id=lid,
             bit=bit,

@@ -51,6 +51,14 @@ class ParamKind(enum.Enum):
     BNVar = "BNVar"
 
 
+# the format each parameter kind is stored in, by graph dtype mode; an int8
+# graph holds conv parameters only.  Append only: a mode's position is its
+# tag in model files (seusim.modelio).
+DTYPE_MODES = {
+    "float32": dict.fromkeys(ParamKind, "f32"),
+    "int8": {ParamKind.ConvWeight: "i8", ParamKind.ConvBias: "i32"},
+}
+
 # BN running statistics are injectable but not part of the default campaign set
 DEFAULT_CAMPAIGN_KINDS = frozenset(
     {ParamKind.ConvWeight, ParamKind.ConvBias, ParamKind.BNGamma, ParamKind.BNBeta}
@@ -132,8 +140,12 @@ def out_channels(graph: ModelGraph, node: LayerNode) -> int:
 def validate_model(graph: ModelGraph) -> None:
     """Structural checks: dense ids, topological inputs, the parameters each
     kind reads and no others, consistent shapes, known activations, conv
-    strides >= 1, BN variances with var + eps > 0, and int8 conv weights and
-    biases with zero point 0 whose sums fit in int32 (`INT_CONV_MAX_TAPS`)."""
+    strides >= 1, BN variances with var + eps > 0, int8 conv weights and
+    biases with zero point 0 whose sums fit in int32 (`INT_CONV_MAX_TAPS`),
+    and a known dtype mode whose formats (`DTYPE_MODES`) every parameter has."""
+    stored = DTYPE_MODES.get(graph.dtype_mode)
+    if stored is None:
+        raise ValueError(f"unknown dtype mode {graph.dtype_mode!r}")
     for i, n in enumerate(graph.nodes):
         if n.id != i:
             raise ValueError(f"node ids must be dense ordinals, got {n.id} at {i}")
@@ -187,6 +199,11 @@ def validate_model(graph: ModelGraph) -> None:
                 if taps > INT_CONV_MAX_TAPS:
                     raise ValueError(f"int8 conv {n.id} sums {taps} taps per output, more than the "
                                      f"{INT_CONV_MAX_TAPS} whose sums fit in int32")
+    for n in graph.nodes:
+        for k, t in n.params.items():
+            if t.dtype != stored.get(k):
+                raise ValueError(f"{n.kind} {n.id} {k.value} is {t.dtype}, but {graph.dtype_mode} graphs "
+                                 f"store it as {stored.get(k)}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ Layout (all multi-byte fields little-endian):
     magic     4s   b"SBUM"
     version   u16  currently 1
     meta      u32 length + UTF-8 JSON
-    n_classes u16, n_input_channels u16, dtype_mode u8 (0=float32, 1=int8)
+    n_classes u16, n_input_channels u16,
+    dtype_mode u8 (its position in seusim.model.DTYPE_MODES: 0=float32, 1=int8)
     input_quant  u8 flag [+ f64 scale + i32 zero_point]
     node_count u32, then per node:
-        id u32, kind u8, stride u8, padding u8, act u8, eps f64,
+        id u32, kind u8, stride u8, padding u8, eps f64, act u8,
         out_quant flag[+payload], input count u16 + u32 ids,
         param count u16, then per param:
-            kind u8, dtype u8, ndim u8, dims u32 each,
+            kind u8, dtype u8 (its row in seusim.tensor.FORMATS), ndim u8, dims u32 each,
             quant flag[+payload], raw element bytes (row-major)
     crc32     u32 over everything before it
 
@@ -28,8 +29,8 @@ import zlib
 
 import numpy as np
 
-from .model import LayerNode, ModelGraph, ParamKind, validate_model
-from .tensor import QuantParams, Tensor
+from .model import DTYPE_MODES, LayerNode, ModelGraph, ParamKind, validate_model
+from .tensor import FORMATS, QuantParams, Tensor
 
 MAGIC = b"SBUM"
 VERSION = 1
@@ -40,9 +41,11 @@ _ACT_TAGS = {None: 0, "relu": 1, "sigmoid": 2, "hard_sigmoid": 3}
 _ACT_FROM_TAG = {v: k for k, v in _ACT_TAGS.items()}
 _PARAM_TAGS = {k: i for i, k in enumerate(ParamKind)}
 _PARAM_FROM_TAG = {v: k for k, v in _PARAM_TAGS.items()}
-_DTYPE_TAGS = {"f32": 0, "i8": 1, "i32": 2}
-_DTYPE_FROM_TAG = {v: k for k, v in _DTYPE_TAGS.items()}
-_NP_LE = {"f32": "<f4", "i8": "<i1", "i32": "<i4"}
+_MODE_TAGS = {m: i for i, m in enumerate(DTYPE_MODES)}
+_MODE_FROM_TAG = dict(enumerate(DTYPE_MODES))
+_DTYPE_TAGS = {k: i for i, k in enumerate(FORMATS)}
+_DTYPE_FROM_TAG = dict(enumerate(FORMATS))
+_NP_LE = {k: f.dtype.newbyteorder("<") for k, f in FORMATS.items()}
 
 
 class ModelFormatError(Exception):
@@ -64,8 +67,9 @@ def serialize_model(graph: ModelGraph) -> bytes:
     meta = json.dumps(graph.meta, sort_keys=True).encode()
     out.append(struct.pack("<I", len(meta)))
     out.append(meta)
-    out.append(struct.pack("<HHB", graph.n_classes, graph.n_input_channels,
-                           0 if graph.dtype_mode == "float32" else 1))
+    if graph.dtype_mode not in _MODE_TAGS:
+        raise ValueError(f"unknown dtype mode {graph.dtype_mode!r}")
+    out.append(struct.pack("<HHB", graph.n_classes, graph.n_input_channels, _MODE_TAGS[graph.dtype_mode]))
     out.append(_pack_quant(graph.input_quant))
     out.append(struct.pack("<I", len(graph.nodes)))
     for n in graph.nodes:
@@ -132,6 +136,8 @@ def deserialize_model(blob: bytes) -> ModelGraph:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"bad metadata block: {e}") from None
     n_classes, n_input_channels, mode_tag = r.take("<HHB")
+    if mode_tag not in _MODE_FROM_TAG:
+        raise ModelFormatError("unknown dtype mode tag")
     input_quant = r.take_quant()
     (node_count,) = r.take("<I")
 
@@ -152,7 +158,7 @@ def deserialize_model(blob: bytes) -> ModelGraph:
             quant = r.take_quant()
             dtype = _DTYPE_FROM_TAG[dtag]
             n_elems = int(np.prod(dims)) if dims else 1
-            raw = r.take_bytes(n_elems * np.dtype(_NP_LE[dtype]).itemsize)
+            raw = r.take_bytes(n_elems * _NP_LE[dtype].itemsize)
             arr = np.frombuffer(raw, dtype=_NP_LE[dtype]).reshape(dims).astype(_NP_LE[dtype])
             params[_PARAM_FROM_TAG[ptag]] = Tensor(arr, dtype, quant)
         if kind_tag not in _KIND_FROM_TAG:
@@ -171,7 +177,7 @@ def deserialize_model(blob: bytes) -> ModelGraph:
 
     graph = ModelGraph(
         nodes, n_classes=n_classes, n_input_channels=n_input_channels,
-        dtype_mode="float32" if mode_tag == 0 else "int8",
+        dtype_mode=_MODE_FROM_TAG[mode_tag],
         input_quant=input_quant, meta=meta,
     )
     validate_model(graph)

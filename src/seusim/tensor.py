@@ -58,15 +58,21 @@ buffer, so the output is its only allocation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-# dtype instances, not scalar types: numpy converts a type on every call
-DTYPES = {"f32": np.dtype(np.float32), "i8": np.dtype(np.int8), "i32": np.dtype(np.int32)}
-BIT_WIDTHS = {"f32": 32, "i8": 8, "i32": 32}
-RAW_VIEWS = {"f32": np.dtype(np.uint32), "i8": np.dtype(np.uint8), "i32": np.dtype(np.uint32)}
+# The formats a Tensor stores, by tag: numpy dtype (an instance: numpy converts a scalar type on every call),
+# unsigned view of the bit patterns, width, and a float's exponent and mantissa masks, 0 for an integer (two's
+# complement); the top bit is always the sign.  Append only: a row's position is its tag in model files.
+Format = namedtuple("Format", "dtype raw width exponent mantissa")
+FORMATS = {
+    "f32": Format(np.dtype(np.float32), np.dtype(np.uint32), 32, 0x7F800000, 0x007FFFFF),
+    "i8": Format(np.dtype(np.int8), np.dtype(np.uint8), 8, 0, 0),
+    "i32": Format(np.dtype(np.int32), np.dtype(np.uint32), 32, 0, 0),
+}
 
 # int8 code range used everywhere saturation applies
 QMIN, QMAX = -128, 127
@@ -87,7 +93,7 @@ class QuantParams:
 
 
 class Tensor:
-    """N-dimensional array with dtype tag f32 | i8 | i32.
+    """N-dimensional array with a dtype tag of FORMATS (f32 | i8 | i32).
 
     Data is stored row-major (C order).  Integer tensors must carry
     QuantParams; float tensors must not.
@@ -96,16 +102,14 @@ class Tensor:
     __slots__ = ("data", "dtype", "quant")
 
     def __init__(self, data, dtype: str, quant: QuantParams | None = None):
-        if dtype not in DTYPES:
+        if dtype not in FORMATS:
             raise ValueError(f"unknown dtype {dtype!r}")
-        arr = np.ascontiguousarray(data, dtype=DTYPES[dtype])
+        fmt = FORMATS[dtype]
+        arr = np.ascontiguousarray(data, dtype=fmt.dtype)
         if arr.size == 0:
             raise ValueError("empty tensor")
-        is_int = dtype != "f32"
-        if is_int and quant is None:
-            raise ValueError(f"{dtype} tensor requires QuantParams")
-        if not is_int and quant is not None:
-            raise ValueError("f32 tensor must not carry QuantParams")
+        if (quant is None) == (not fmt.exponent):  # an integer format stores codes
+            raise ValueError(f"{dtype} tensor {'requires' if quant is None else 'must not carry'} QuantParams")
         self.data = arr
         self.dtype = dtype
         self.quant = quant
@@ -120,11 +124,11 @@ class Tensor:
 
     @property
     def bit_width(self) -> int:
-        return BIT_WIDTHS[self.dtype]
+        return FORMATS[self.dtype].width
 
     def raw_bits(self) -> np.ndarray:
         """Flat unsigned view of the underlying bit patterns (mutable)."""
-        return self.data.reshape(-1).view(RAW_VIEWS[self.dtype])
+        return self.data.reshape(-1).view(FORMATS[self.dtype].raw)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), self.dtype, self.quant)

@@ -404,6 +404,62 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="activation tag"):
             deserialize_model(blob)
 
+    @staticmethod
+    def _with_mode_tag(blob: bytes, tag: int) -> bytes:
+        """`blob` with its dtype mode byte set to `tag`, under a valid checksum."""
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        at = 10 + meta_len + 4  # past magic, version, meta length, meta, n_classes and n_input_channels
+        body = blob[:at] + bytes([tag]) + blob[at + 1 : -4]
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    @pytest.mark.parametrize("tag", [2, 7, 255])
+    @pytest.mark.parametrize("mode", ["float32", "int8"])
+    def test_unknown_dtype_mode_tag_is_format_error(self, mode, tag):
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        if mode == "int8":
+            g = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=0)])
+        blob = serialize_model(g)
+        assert self._with_mode_tag(blob, {"float32": 0, "int8": 1}[mode]) == blob  # the pinned mode tags
+        with pytest.raises(ModelFormatError, match="unknown dtype mode tag"):
+            deserialize_model(self._with_mode_tag(blob, tag))
+
+    def test_unknown_dtype_mode_is_refused(self):
+        g = replace(build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0), dtype_mode="int4")
+        with pytest.raises(ValueError, match="unknown dtype mode 'int4'"):
+            validate_model(g)
+        with pytest.raises(ValueError, match="unknown dtype mode 'int4'"):
+            serialize_model(g)
+
+    def test_float32_graph_with_quantized_parameters_is_refused(self):
+        # quantize_model's i8/i32 parameters under a float32 mode: refused when
+        # validated and when loaded, not first at the forward pass
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        q = quantize_model(fold_batch_norm(g), [synthetic_input(g, 8, 8, seed=0)])
+        mixed = replace(q, dtype_mode="float32", input_quant=None, nodes=[replace(n, out_quant=None) for n in q.nodes])
+        match = r"conv 0 ConvWeight is i8, but float32 graphs store it as f32"
+        with pytest.raises(ValueError, match=match):
+            validate_model(mixed)
+        with pytest.raises(ValueError, match=match):
+            deserialize_model(serialize_model(mixed))
+
+    def test_int8_graph_with_float_conv_parameters_is_refused(self):
+        from seusim.compress import fold_batch_norm, quantize_model
+
+        folded = fold_batch_norm(build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0))
+        q = quantize_model(folded, [synthetic_input(folded, 8, 8, seed=0)])
+        last = q.nodes[-1]
+        f32_bias = folded.nodes[-1].params[ParamKind.ConvBias]
+        q.nodes[-1] = replace(last, params={**last.params, ParamKind.ConvBias: f32_bias})
+        match = rf"conv {last.id} ConvBias is f32, but int8 graphs store it as i32"
+        with pytest.raises(ValueError, match=match):
+            validate_model(q)
+        with pytest.raises(ValueError, match=match):
+            deserialize_model(serialize_model(q))
+
     def test_synthetic_input_respects_pool_depth(self):
         g = build_unet(depth=2, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
         with pytest.raises(ValueError, match="multiples"):
