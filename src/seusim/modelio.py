@@ -73,6 +73,10 @@ def serialize_model(graph: ModelGraph) -> bytes:
     out.append(_pack_quant(graph.input_quant))
     out.append(struct.pack("<I", len(graph.nodes)))
     for n in graph.nodes:
+        if n.kind not in _KIND_TAGS:
+            raise ValueError(f"node {n.id} has unknown layer kind {n.kind!r}")
+        if n.act not in _ACT_TAGS:
+            raise ValueError(f"node {n.id} has unknown activation function {n.act!r}")
         out.append(struct.pack("<IBBBd", n.id, _KIND_TAGS[n.kind], n.stride, n.padding, n.eps))
         out.append(struct.pack("<B", _ACT_TAGS[n.act]))
         out.append(_pack_quant(n.out_quant))

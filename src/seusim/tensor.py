@@ -6,17 +6,23 @@ the output), and an int8 path with exact integer sums and saturating
 requantization.  All kernels are pure functions whose results are
 bit-for-bit reproducible regardless of thread count.
 
-The float conv avoids order-sensitive BLAS.  It is blocked im2col: the
-input windows of a block of output rows are unfolded into a contiguous
-[c*kh*kw, positions] matrix of at most about 2**16 elements (512 KB of
-float64 scratch per call, so per campaign worker), which the two-operand
-``np.einsum("ok,kp->op", ...)`` reduces.  Called without ``optimize=``,
-einsum runs numpy's own C loops: no BLAS and no threads.  Every output is
-accumulated in float64 from 0 over (c, i, j) in row-major order, the bias
-is added last, and the sum is rounded once to float32.  The sums before the
-bias are a public half of their own (`conv2d_sums`), so a caller that keeps
-them can finish a channel with another bias (`conv2d_finish`) without
-running the conv again.
+The float conv's output bits are those of one ordered sum.  The sums are
+blocked im2col: the input windows of a block of output rows are unfolded
+into a contiguous [c*kh*kw, positions] matrix of at most about 2**16
+elements (512 KB of float64 scratch per call, so per campaign worker),
+which the two-operand ``np.einsum("ok,kp->op", ...)`` reduces.  Called
+without ``optimize=``, einsum runs numpy's own C loops: no BLAS and no
+threads.  Every output is accumulated in float64 from 0 over (c, i, j) in
+row-major order, the bias is added last, and the sum is rounded once to
+float32.  The sums before the bias are a public half of their own
+(`conv2d_sums`), so a caller that keeps them can finish a channel with
+another bias (`conv2d_finish`) without running the conv again.  `conv2d`
+of a conv of at least _BLAS_MIN_TAPS taps and _BLAS_MIN_MACS
+multiply-adds per image gives the same bits faster (`_conv_f32`): BLAS
+sums each block in an order of its own, a per-output error bound proves
+which float32 outputs the ordered sum rounds to alike, and the ordered
+einsum recomputes the rest.  So `conv2d` is `conv2d_finish` of
+`conv2d_sums`, bit for bit, at any size and on any number of BLAS threads.
 
 The int8 conv is kn2row with no im2col copy: one strided view of the padded
 input holds every kernel tap's shifted operand, one batched matmul per block
@@ -212,6 +218,23 @@ _IM2COL_BLOCK = 1 << 16
 # size on the calling thread.
 _GEMM_MACS = 1 << 18
 
+# The f32 conv sums on BLAS (`_conv_f32`) from this many taps per output and
+# multiply-adds per image.  Its bound's check costs about 10 passes over each
+# output, and its numpy calls each release the GIL: below 64 taps it loses
+# (the 27-tap 3->8 conv ran 2-12% slower at 64x64 and 256x256), and below
+# 2**22 multiply-adds it loses under threaded callers (gated on taps alone,
+# the threaded jobs-2 prune sweep of 32x32 convs in perfbench ran 32-38%
+# fewer items/s).
+_BLAS_MIN_TAPS = 64
+_BLAS_MIN_MACS = 1 << 22
+
+# outputs per check of `_conv_f32`'s bound, several im2col blocks' worth:
+# each of its numpy calls costs a few microseconds however few outputs it takes
+_CHECK_OUTPUTS = 1 << 13
+
+# added to each filter's |w| sum and each window's largest |x|, so that no bound is 0
+_BOUND_FLOOR = 2.0**-500
+
 # |x - zp| <= 255 and |w| <= 128: the largest product on the integer path
 _INT_PRODUCT_MAX = 255 * 128
 
@@ -219,14 +242,10 @@ _INT_PRODUCT_MAX = 255 * 128
 INT_CONV_MAX_TAPS = (2**31 - 1) // _INT_PRODUCT_MAX
 
 
-def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
-    """Float convolution sums of NCHW f32 `x` with `w`, in float64.
-
-    Each output is 0 + sum of x*w over (c, i, j) in row-major order.  Zero
-    padding is applied to `x` as given.
-    """
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """The [n, c, kh, kw, oh, ow] view of every kh x kw window of NCHW `x`,
+    zero-padded into a fresh buffer first, at `stride`."""
     n, c, h, wd = x.shape
-    oc, _, kh, kw = w.shape
     if padding:
         xp = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), x.dtype)
         xp[:, :, padding : padding + h, padding : padding + wd] = x
@@ -236,29 +255,157 @@ def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
         raise ValueError(f"input {h}x{wd} too small for {kh}x{kw} kernel with padding {padding}")
     oh = (ph - kh) // stride + 1
     ow = (pw - kw) // stride + 1
-    k = c * kh * kw
     s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
-    )
-    w2d = w.reshape(oc, k).astype(np.float64)
-    out = np.empty((n, oc, oh * ow))
-    rows = max(1, _IM2COL_BLOCK // (k * ow))
+    return np.lib.stride_tricks.as_strided(x, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride))
+
+
+def _im2col_blocks(win: np.ndarray, height: int):
+    """Per block of output rows of the window view `win`: its image, its
+    first output column, and its windows unfolded into a C-contiguous
+    float64 [c*kh*kw, positions] matrix.  A block holds about
+    _IM2COL_BLOCK / `height` columns, at least one output row; every block
+    is written into the same scratch."""
+    n, c, kh, kw, oh, ow = win.shape
+    k = c * kh * kw
+    rows = max(1, _IM2COL_BLOCK // (height * ow))
     scratch = np.empty(k * min(rows, oh) * ow)
     for ni in range(n):
         for r0 in range(0, oh, rows):
             r1 = min(r0 + rows, oh)
-            p = (r1 - r0) * ow
-            cols = scratch[: k * p].reshape(k, p)
+            cols = scratch[: k * (r1 - r0) * ow].reshape(k, -1)
             np.copyto(cols.reshape(c, kh, kw, r1 - r0, ow), win[ni, :, :, :, r0:r1])
-            dst = out[ni, :, r0 * ow : r1 * ow]
-            if p > 1:
-                # einsum adds the k terms of each output in order into a zeroed `dst`
-                np.einsum("ok,kp->op", w2d, cols, out=dst)
-            else:
-                # with one column einsum would reduce k in a multi-accumulator
-                # SIMD dot, which reorders the sum; two columns keep it in order
-                dst[...] = np.einsum("ok,kp->op", w2d, np.repeat(cols, 2, axis=1))[:, :1]
+            yield ni, r0 * ow, cols
+
+
+def _ordered_sums(w2d: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`w2d @ cols` into `out`, each output 0 + its k terms in order, for a
+    C-contiguous [k, p] `cols`.  einsum orders its loops by memory layout,
+    so another layout of `cols` may reorder the terms."""
+    if cols.shape[1] > 1:
+        # einsum adds the k terms of each output in order into a zeroed `out`
+        return np.einsum("ok,kp->op", w2d, cols, out=out)
+    # with one column einsum would reduce k in a multi-accumulator
+    # SIMD dot, which reorders the sum; two columns keep it in order
+    out[...] = np.einsum("ok,kp->op", w2d, np.repeat(cols, 2, axis=1))[:, :1]
+    return out
+
+
+def _conv_accumulate(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+    """Float convolution sums of NCHW f32 `x` with `w`, in float64.
+
+    Each output is 0 + sum of x*w over (c, i, j) in row-major order.  Zero
+    padding is applied to `x` as given.
+    """
+    oc, c, kh, kw = w.shape
+    win = _windows(x, kh, kw, stride, padding)
+    n, _, _, _, oh, ow = win.shape
+    w2d = w.reshape(oc, -1).astype(np.float64)
+    out = np.empty((n, oc, oh * ow))
+    for ni, p0, cols in _im2col_blocks(win, c * kh * kw):
+        _ordered_sums(w2d, cols, out[ni, :, p0 : p0 + cols.shape[1]])
+    return out.reshape(n, oc, oh, ow)
+
+
+def _window_max(a: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """The maximum of [n, ph, pw] `a` over each kh x kw window at `stride`,
+    [n, oh, ow]: a pass per kernel row, then one per kernel column.  A
+    window holding a NaN gives NaN."""
+    rows = a[:, : stride * (oh - 1) + 1 : stride].copy()
+    for i in range(1, kh):
+        np.maximum(rows, a[:, i : i + stride * (oh - 1) + 1 : stride], out=rows)
+    out = rows[:, :, : stride * (ow - 1) + 1 : stride].copy()
+    for j in range(1, kw):
+        np.maximum(out, rows[:, :, j : j + stride * (ow - 1) + 1 : stride], out=out)
+    return out
+
+
+def _conv_f32(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The float32 output of the conv of NCHW f32 `x` with `w` and bias `b`,
+    bit for bit that of `conv2d_finish(conv2d_sums(...))`, with BLAS
+    computing the sums.
+
+    Per block of `_im2col_blocks`, BLAS multiplies the float64 weights by
+    the columns, in calls of at most _GEMM_MACS multiply-adds, giving sums
+    S in an order it chooses.  Output (o, p) of K = c*kh*kw taps then gets
+    the bound m = c_K * W_o * X_p, where W_o = sum_k |w_ok| and X_p is the
+    largest |x| in p's window, padding included, each plus 2**-500, and
+    c_K = 4(K + 4) * 2**-53.  The output is settled when S + m is finite
+    and f32(fl64(S - m) + b) and f32(fl64(S + m) + b) have equal bits;
+    those bits are its output.  The bound is checked on about
+    _CHECK_OUTPUTS outputs at a time, whole blocks of them.  Once an
+    image's blocks are done, the ordered einsum (`_ordered_sums`)
+    recomputes every column holding an unsettled output, gathered a block
+    at a time into the im2col scratch as a C-contiguous [k, columns]
+    matrix, in (c, i, j) order.
+
+    Why a settled output is the ordered one.  Where S + m is finite, m is,
+    so (each factor being at least 2**-500) every weight of the filter and
+    every input of the window is finite.  Every f32 x f32 product is then
+    exact in float64, and an FMA does not change a product-then-add.  Any
+    order or tree of summing K exact terms lies within gamma_K * sum|t| of
+    their exact sum, gamma_K = K*u / (1 - K*u), u = 2**-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
+    4.2), so the ordered sum and S lie within 2 * gamma_K * W_o * X_p of
+    each other; c_K covers that twice over, with the rounding of m itself,
+    for any K below 2**40.  Rounding is monotone and leaves the ordered
+    sum, a double, in place, so it lies in [fl64(S - m), fl64(S + m)];
+    v -> f32(fl64(v + b)) is monotone too, so equal bits at both ends are
+    its bits.  A zero sum with a zero bias never settles, since m > 0
+    gives -0.0 and +0.0 at the ends: the ordered path keeps its +0.0
+    start, whatever the sign of the bias and of a zero S.  NaN ends are
+    equal bits on both sides, so the finiteness of S + m is checked
+    explicitly.  Assumed: BLAS accumulates in IEEE double, as OpenBLAS
+    does.  Which order it chose, and on how many threads, changes no bit.
+    """
+    oc, c, kh, kw = w.shape
+    k = c * kh * kw
+    win = _windows(x, kh, kw, stride, padding)
+    n, _, _, _, oh, ow = win.shape
+    w2d = w.reshape(oc, k).astype(np.float64)
+    b64 = b.astype(np.float64)[:, None]
+    cw = (np.abs(w2d).sum(axis=1, keepdims=True) + _BOUND_FLOOR) * (4 * (k + 4) * 2.0**-53)
+    # |x| at its largest over the channels, then over each window; padding is 0
+    a = np.maximum(x.max(axis=1), -x.min(axis=1))
+    if padding:
+        a = np.pad(a, ((0, 0), (padding, padding), (padding, padding)))
+    xmax = _window_max(a, kh, kw, stride, oh, ow).reshape(n, -1).astype(np.float64)
+    xmax += _BOUND_FLOOR
+    step = max(1, _GEMM_MACS // (oc * k))
+    out = np.empty((n, oc, oh * ow), np.float32)
+    redo = np.empty(oh * ow, bool)
+    c0 = 0  # the image's first column not yet checked
+    for ni, p0, cols in _im2col_blocks(win, max(k, oc)):
+        p, end = cols.shape[1], p0 + cols.shape[1]
+        if not p0 and not ni:  # the first block is the widest, and its columns fill the scratch
+            width, scratch = p, cols.reshape(-1)
+            span = width * max(1, _CHECK_OUTPUTS // (oc * width))  # columns per check: whole blocks
+            s, m = np.empty((2, oc, span))
+            hi32 = np.empty((oc, span), np.float32)
+        for q0 in range(0, p, step):
+            np.matmul(w2d, cols[:, q0 : q0 + step], out=s[:, p0 - c0 + q0 : p0 - c0 + min(q0 + step, p)])
+        if end < oh * ow and end + width - c0 <= span:
+            continue
+        q = end - c0
+        sq, mq, h32 = s[:, :q], m[:, :q], hi32[:, :q]
+        np.add(sq, np.multiply(cw, xmax[ni, c0:end], out=mq), out=mq)  # S + m
+        settled = np.isfinite(mq)
+        np.add(mq, b64, out=h32, casting="same_kind")
+        np.subtract(sq, np.multiply(cw, xmax[ni, c0:end], out=mq), out=sq)  # S - m, m computed again
+        dst = out[ni, :, c0:end]
+        np.add(sq, b64, out=dst, casting="same_kind")
+        settled &= dst.view(np.uint32) == h32.view(np.uint32)
+        np.logical_not(settled.all(axis=0), out=redo[c0:end])
+        c0 = end % (oh * ow)
+        if c0:
+            continue
+        # the image's last block: its scratch now gathers the unsettled columns
+        where = np.flatnonzero(redo)
+        for g0 in range(0, where.size, width):
+            pos = where[g0 : g0 + width]
+            g = scratch[: k * pos.size].reshape(k, -1)
+            g.reshape(c, kh, kw, -1)[...] = win[ni][..., pos // ow, pos % ow]
+            t = _ordered_sums(w2d, g, s.reshape(-1)[: oc * pos.size].reshape(oc, -1))
+            out[ni][:, pos] = t + b64
     return out.reshape(n, oc, oh, ow)
 
 
@@ -416,13 +563,31 @@ def conv2d(
     padding: int = 0,
     out_quant: QuantParams | None = None,
 ) -> Tensor:
-    """2-D convolution over NCHW input: `conv2d_finish` of `conv2d_sums`.
+    """2-D convolution over NCHW input: `conv2d_finish` of `conv2d_sums`,
+    bit for bit.
 
-    Float path: f32 in, f32 out, accumulated in f64 and rounded once.
+    Float path: f32 in, f32 out, accumulated in f64 and rounded once; a
+    conv that `_blas_pays` for runs on BLAS (`_conv_f32`) to the same bits.
     Integer path: i8 input/weights with i32 bias; exact integer sums plus
     the bias in int32, then requantized to `out_quant`.
     """
+    if x.dtype == weight.dtype == bias.dtype == "f32" and _blas_pays(x.shape, weight.shape, bias.shape,
+                                                                      stride, padding):
+        with np.errstate(all="ignore"):  # Inf/NaN from corrupted params must flow through
+            return Tensor(_conv_f32(x.data, weight.data, bias.data, stride, padding), "f32")
     return conv2d_finish(conv2d_sums(x, weight, stride, padding), x, weight, bias, out_quant)
+
+
+def _blas_pays(x_shape, w_shape, b_shape, stride: int, padding: int) -> bool:
+    """Whether an f32 conv of these shapes is well formed and large enough
+    for `_conv_f32`; any other goes to `conv2d_sums`, which raises what is
+    wrong with it."""
+    if len(x_shape) != 4 or len(w_shape) != 4 or x_shape[1] != w_shape[1] or b_shape != w_shape[:1] or stride < 1:
+        return False
+    oc, c, kh, kw = w_shape
+    oh = (x_shape[2] + 2 * padding - kh) // stride + 1
+    ow = (x_shape[3] + 2 * padding - kw) // stride + 1
+    return c * kh * kw >= _BLAS_MIN_TAPS and oc * c * kh * kw * oh * ow >= _BLAS_MIN_MACS
 
 
 def batch_norm(

@@ -335,3 +335,58 @@ def test_conv2d_is_finish_of_kept_sums_per_channel(dtype):
         wide = sums[0, 0].astype(np.int64) + int(b.data[0])
         assert (wide > np.iinfo(np.int32).max).any()  # the sum wrapped
         assert (full.data[0, 0] < 0).any()
+
+
+@pytest.mark.parametrize("act", ["relu", "hard_sigmoid"])
+def test_blas_convs_are_the_ordered_convs_on_the_readme_unet(act, monkeypatch):
+    # at 64x64 the 48->16 and 24->8 convs (4 and 5) pass the BLAS gate; every
+    # conv2d of a golden forward, of a faulted forward and cone with bit 30 of
+    # a conv 4 weight flipped, and of a forward of an input holding a NaN must
+    # equal conv2d_finish of conv2d_sums bit for bit
+    import seusim.model
+
+    g = build_unet(depth=2, base_channels=8, n_input_channels=3, n_classes=6, activation_kind=act, seed=0)
+    x = synthetic_input(g, 64, 64, seed=1)
+    columns, redone, gathered = [], [], []  # per BLAS conv its output columns, and those redone in order
+
+    def checked_conv2d(x, weight, bias, stride=1, padding=0, out_quant=None):
+        out = conv2d(x, weight, bias, stride, padding, out_quant)
+        ordered = conv2d_finish(conv2d_sums(x, weight, stride, padding), x, weight, bias, out_quant)
+        assert out.bit_equal(ordered)
+        return out
+
+    def counted_blas(x, w, b, stride, padding):
+        del gathered[:]
+        out = blas(x, w, b, stride, padding)
+        columns.append(out.shape[2] * out.shape[3])
+        redone.append(sum(gathered))
+        return out
+
+    def counted_ordered_sums(w2d, cols, out):
+        gathered.append(cols.shape[1])
+        return ordered_sums(w2d, cols, out)
+
+    blas, ordered_sums = seusim.tensor._conv_f32, seusim.tensor._ordered_sums
+    monkeypatch.setattr(seusim.model, "conv2d", checked_conv2d)
+    monkeypatch.setattr(seusim.tensor, "_conv_f32", counted_blas)
+    monkeypatch.setattr(seusim.tensor, "_ordered_sums", counted_ordered_sums)
+
+    golden = golden_trace(g, x)
+    # at most 1% of the output columns, so of the outputs, are left to the ordered path
+    assert len(columns) >= 2 and sum(redone) <= 0.01 * sum(columns), redone
+
+    conv4 = [n for n in g.nodes if n.kind == "conv"][3]
+    loc = FaultLocation(conv4.id, ParamKind.ConvWeight, 5, 30)
+    del columns[:]
+    faulted_logits(g, golden, channel_fault(g, loc))
+    handle = apply_fault(g, loc)
+    try:
+        faulty = run_model(g, x)
+    finally:
+        revert(handle)
+    assert len(columns) >= 3 and not np.array_equal(faulty.data, golden.produced[g.nodes[-1].id].data[0])
+
+    xv = x.data.copy()
+    xv[1, 20, 33] = np.nan
+    del columns[:]
+    assert np.isnan(run_model(g, Tensor(xv, "f32")).data).any() and len(columns) >= 2

@@ -432,6 +432,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown dtype mode 'int4'"):
             serialize_model(g)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("kind", "avg_pool", "node 3 has unknown layer kind 'avg_pool'"),
+        ("act", "tanh", "node 3 has unknown activation function 'tanh'"),
+    ])
+    def test_serializer_names_what_it_cannot_store(self, field, value, match):
+        g = build_unet(depth=1, base_channels=4, n_input_channels=3, n_classes=6, seed=0)
+        g.nodes[3] = replace(g.nodes[3], **{field: value})
+        with pytest.raises(ValueError, match=match):
+            serialize_model(g)
+
     def test_float32_graph_with_quantized_parameters_is_refused(self):
         # quantize_model's i8/i32 parameters under a float32 mode: refused when
         # validated and when loaded, not first at the forward pass

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import seusim.tensor
 from seusim.tensor import (
     _GEMM_MACS,
     _IM2COL_BLOCK,
+    _conv_f32,
     _conv_int,
     ACTIVATION_KINDS,
     INT_CONV_MAX_TAPS,
@@ -315,6 +318,28 @@ class TestConv2d:
         assert peak <= 4.21e6
         np.testing.assert_array_equal(sums, conv2d_int_oracle(x, 3, w, np.zeros(1, np.int32), 1, 1))
 
+    @pytest.mark.parametrize("nan_windows", [False, True], ids=["finite", "nan"])
+    def test_float_blas_conv_scratch_bounded(self, nan_windows):
+        # the 24->8 3x3 conv at 64x64 peaks at 1.37e6 bytes, 1.50e6 with a NaN
+        # in every window, where every column goes to the ordered path: the
+        # padded input, the output, the im2col scratch, which then also
+        # gathers the unsettled columns, and the check's buffers.  Gathering
+        # every unsettled column at once would add 7.1e6 bytes.
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(1, 24, 64, 64)).astype(np.float32)
+        w = (rng.normal(size=(8, 24, 3, 3)) * 0.2).astype(np.float32)
+        b = rng.normal(size=8).astype(np.float32)
+        if nan_windows:
+            x[0, 3, ::3, ::3] = np.nan
+        tracemalloc.start()
+        try:
+            out = conv_f32(x, w, b, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+        assert_same_bits(out, ordered_conv(x, w, b, 1, 1))
+
     # c*kh*kw on either side of the float32 bound: 514 * 255 * 128 <= 2**24 < 515 * 255 * 128
     @pytest.mark.parametrize("c, kh, kw", [(514, 1, 1), (257, 1, 2), (515, 1, 1), (103, 5, 1)])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -407,6 +432,213 @@ class TestConv2d:
         a = conv2d(x, w, b, padding=1).data
         for _ in range(3):
             np.testing.assert_array_equal(conv2d(x, w, b, padding=1).data, a)
+
+
+def conv_f32(x, w, b, stride=1, padding=0):
+    """`_conv_f32` on f32 arrays, as `conv2d` calls it."""
+    with np.errstate(all="ignore"):
+        return _conv_f32(*(np.asarray(v, np.float32) for v in (x, w, b)), stride, padding)
+
+
+def ordered_conv(x, w, b, stride=1, padding=0):
+    """The ordered path, `conv2d_finish(conv2d_sums(...))`: what `_conv_f32` must equal bit for bit."""
+    x, w, b = (t32(v) for v in (x, w, b))
+    return conv2d_finish(conv2d_sums(x, w, stride, padding), x, w, b).data
+
+
+def reverse_sums(a, b):
+    """`a @ b` summed from the last of the k products down, each product
+    added to the partial sum: another order a BLAS may choose.  A sum of
+    -0.0 products stays -0.0, and of several NaNs the first in k order
+    wins, where the ordered einsum keeps the last."""
+    t = a[:, :, None] * b[None]
+    s = t[:, -1].copy()
+    for j in range(t.shape[1] - 2, -1, -1):
+        np.add(t[:, j], s, out=s)
+    return s
+
+
+def edge_sums(direction):
+    """`a @ b` as the exact sums moved by 0.99 * gamma_K * sum|t| toward
+    `direction`: as far as Higham's bound lets any order of summing K terms
+    land.  `reverse_sums` where a sum is not finite."""
+    def sums(a, b):
+        t = a[:, :, None] * b[None]
+        k = t.shape[1]
+        gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+        out = reverse_sums(a, b)
+        with np.errstate(invalid="ignore"):
+            mag = np.abs(t).sum(axis=1)
+        for o, p in zip(*np.nonzero(np.isfinite(mag))):
+            out[o, p] = math.fsum(t[o, :, p]) + direction * 0.99 * gamma * mag[o, p]
+        return out
+    return sums
+
+
+# what computes the BLAS sums of `_conv_f32`: the BLAS itself, or a stand-in for np.matmul
+GEMMS = {"blas": None, "reverse": reverse_sums, "edge_up": edge_sums(1), "edge_down": edge_sums(-1)}
+
+
+def gemm(name):
+    """A context in which `_conv_f32`'s GEMM is `GEMMS[name]`."""
+    sums = GEMMS[name]
+    if sums is None:
+        return mock.patch.object(np, "matmul", np.matmul)
+    return mock.patch.object(np, "matmul", lambda a, b, out: np.copyto(out, sums(a, b)))
+
+
+def nan_bits(bits):
+    return np.array([bits], np.uint32).view(np.float32)[0]
+
+
+@pytest.mark.parametrize("name", GEMMS)
+class TestConvF32Blas:
+    """The f32 kernel on BLAS, called directly: `conv2d` sends shapes this small
+    to the ordered path.  Under each GEMM of `GEMMS` its output must be the
+    ordered sum's, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 8), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+        st.sampled_from([1, 3]), st.sampled_from([1, 2]), st.sampled_from([0, 1]), st.data(),
+    )
+    def test_bit_exact_against_summation_order(self, name, cin, cout, h, w, k, stride, padding, data):
+        if h + 2 * padding < k or w + 2 * padding < k:
+            return
+        x = data.draw(arrays(np.float32, (1, cin, h, w), elements=F32_VALUES))
+        wt = data.draw(arrays(np.float32, (cout, cin, k, k), elements=F32_VALUES))
+        b = data.draw(arrays(np.float32, (cout,), elements=F32_VALUES))
+        with gemm(name):
+            out = conv_f32(x, wt, b, stride, padding)
+        assert_same_bits(out, conv2d_f32_oracle(x, wt, b, stride, padding))
+
+    @pytest.mark.parametrize("values", [[1e20, 1.0, -1e20], [1.0, 1e20, -1e20]], ids=["big_first", "one_first"])
+    @pytest.mark.parametrize(
+        "kernel,positions",
+        [((3, 1, 1), (0, 1, 2)), ((1, 3, 1), (0, 1, 2)), ((1, 1, 3), (0, 1, 2)), ((2, 2, 2), (0, 3, 4)),
+         ((16, 1, 1), (0, 1, 8))],
+        ids=["c", "i", "j", "row_major", "long"],
+    )
+    def test_cancellation_probe_pins_order(self, name, values, kernel, positions):
+        # one output column of a probe that only the row-major order sums to 0
+        w = np.zeros(kernel, dtype=np.float32)
+        w.reshape(-1)[list(positions)] = values
+        with gemm(name):
+            out = conv_f32(np.ones((1, *kernel), np.float32), w[None], [0.0])
+        assert_same_bits(out, np.zeros((1, 1, 1, 1), dtype=np.float32))
+
+    def test_bias_added_last(self, name):
+        x = np.ones((1, 2, 2, 2), dtype=np.float32)
+        w = np.array([1e20, 1.0], dtype=np.float32).reshape(1, 2, 1, 1)
+        with gemm(name):
+            out = conv_f32(x, w, [-1e20])
+        assert_same_bits(out, np.zeros((1, 1, 2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("bias", [0.0, -0.0, 2.5])
+    def test_zero_window_keeps_the_ordered_zero(self, name, bias):
+        # negative weights make every product of a zero window -0.0; the
+        # ordered sum starts from +0.0, so it is +0.0, and so is +0.0 + -0.0
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(1, 4, 6, 6)).astype(np.float32)
+        x[:, :, :3] = 0
+        w = -np.abs(rng.normal(size=(2, 4, 3, 3))).astype(np.float32)
+        with gemm(name):
+            out = conv_f32(x, w, [bias, bias], 1, 1)
+        assert_same_bits(out, conv2d_f32_oracle(x, w, np.float32([bias, bias]), 1, 1))
+        assert (out[:, :, 0].view(np.uint32) == np.float32(bias + 0.0).view(np.uint32)).all()
+
+    def test_non_finite_windows(self, name):
+        # one NaN (either sign), Inf or -Inf per window, and a window with both
+        # infinities (a NaN bias and windows of two NaNs: the next test)
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(1, 5, 12, 12)).astype(np.float32)
+        for (c, i, j), v in {(1, 1, 1): nan_bits(0x7FC00001), (3, 1, 6): nan_bits(0xFFC00002),
+                             (2, 6, 1): np.inf, (4, 6, 6): -np.inf, (0, 10, 2): np.inf, (2, 10, 3): -np.inf}.items():
+            x[0, c, i, j] = v
+        w = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
+        b = np.float32([0.5, -2.0, -0.0])
+        with gemm(name):
+            out = conv_f32(x, w, b, 1, 1)
+        assert_same_bits(out, conv2d_f32_oracle(x, w, b, 1, 1))
+        assert np.isnan(out).any() and np.isposinf(out).any() and np.isneginf(out).any()
+
+    def test_windows_of_several_nans_take_the_ordered_payload(self, name):
+        # which NaN a sum keeps depends on its order and operand order, so the
+        # loop oracle's may differ: the ordered path's is the one to match
+        x = np.ones((1, 8, 6, 6), np.float32)
+        x[0, 1, 2, 2] = nan_bits(0x7FC00001)
+        x[0, 5, 2, 3] = nan_bits(0xFFC00002)
+        w = np.random.default_rng(41).normal(size=(3, 8, 3, 3)).astype(np.float32)
+        b = np.float32([0.5, np.nan, -0.0])
+        with gemm(name):
+            out = conv_f32(x, w, b, 1, 1)
+        assert_same_bits(out, ordered_conv(x, w, b, 1, 1))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_sum_near_a_rounding_midpoint_is_not_settled(self, name, sign):
+        # 1 + 2**-24 - s is the float32 midpoint between 1 and 1 + 2**-23 less
+        # s = 96 * 2**-53; each of the 61 terms d past it is just over half an
+        # ulp of 1, so the ordered sum rounds up at each, to 26 * 2**-53 above
+        # the midpoint, while the exact sum lies 35 * 2**-53 below it.  A sum
+        # gamma_K * sum|t| below that still lies within the bound of the ordered
+        # sum, and the bound must leave the output to the ordered path.
+        k = 64
+        d = np.float32(2.0**-53 * (1 + 2.0**-20))
+        w = np.float32([1.0, 2.0**-24, -96 * 2.0**-53] + [d] * (k - 3)).reshape(1, k, 1, 1)
+        x = np.full((1, k, 2, 3), sign, np.float32)
+        with gemm(name):
+            out = conv_f32(x, w, [0.0])
+        assert_same_bits(out, np.full((1, 1, 2, 3), sign * (1 + 2.0**-23), np.float32))
+        assert_same_bits(out, conv2d_f32_oracle(x, w, np.zeros(1, np.float32), 1, 0))
+
+    def test_stride_two(self, name):
+        rng = np.random.default_rng(43)
+        x = (rng.normal(size=(2, 7, 9, 8)) * 10.0 ** rng.integers(-6, 7, (2, 7, 9, 8))).astype(np.float32)
+        w = rng.normal(size=(4, 7, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        with gemm(name):
+            out = conv_f32(x, w, b, 2, 1)
+        assert out.shape == (2, 4, 5, 4)
+        assert_same_bits(out, conv2d_f32_oracle(x, w, b, 2, 1))
+
+    @pytest.mark.parametrize("probe", [False, True], ids=["settled", "unsettled"])
+    def test_one_column_output(self, name, probe):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(1, 16, 3, 3)).astype(np.float32)
+        w = rng.normal(size=(3, 16, 3, 3)).astype(np.float32)
+        if probe:  # the "long" cancellation probe in filter 1's window: only the ordered sum gives 0
+            x[:] = 1
+            w[1] = 0
+            w[1].reshape(-1)[[0, 1, 72]] = [1e20, 1.0, -1e20]
+        b = rng.normal(size=3).astype(np.float32)
+        with gemm(name):
+            out = conv_f32(x, w, b)
+        assert out.shape == (1, 3, 1, 1)
+        assert_same_bits(out, conv2d_f32_oracle(x, w, b, 1, 0))
+
+    def test_scattered_unsettled_columns(self, name):
+        # 1x1 windows of 16 channels, a cancellation probe at scattered
+        # positions across several images and im2col blocks: the ordered
+        # path recomputes those columns and no others
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=(2, 16, 64, 160)).astype(np.float32)
+        w = rng.normal(size=(3, 16, 1, 1)).astype(np.float32)
+        w[:2, [0, 1, 8]] = 1
+        flat = x.reshape(2, 16, -1)
+        at = rng.choice(flat.shape[2], 60, replace=False)
+        flat[:, :, at] = 0
+        flat[:, 0, at], flat[:, 1, at], flat[:, 8, at] = 1e20, 1.0, -1e20
+        b = rng.normal(size=3).astype(np.float32)
+        assert 16 * 64 * 160 > 2 * _IM2COL_BLOCK
+        redone = []
+        ordered = seusim.tensor._ordered_sums
+        with mock.patch.object(seusim.tensor, "_ordered_sums",
+                               lambda w2d, cols, out: redone.append(cols.shape[1]) or ordered(w2d, cols, out)):
+            with gemm(name):
+                out = conv_f32(x, w, b)
+        assert_same_bits(out, conv2d_f32_oracle(x, w, b, 1, 0))
+        assert (out[:, :2].reshape(2, 2, -1)[:, :, at] == b[:2, None]).all()
+        assert sum(redone) >= 2 * 60 and (name != "blas" or sum(redone) < 2 * 64 * 160 // 100)
 
 
 class TestBatchNorm:
